@@ -13,8 +13,8 @@ is free.
 
 It also *guards the observability layer's disabled cost*: the full
 ``generate()`` path (run controller + null observer, the default) is
-timed against a raw ``realize()`` loop with no supervision or telemetry
-at all, and the script fails if the overhead exceeds ``--max-overhead``
+timed against a raw ``realize_block()`` loop over the same row blocks,
+with no supervision or telemetry at all, and the script fails if the overhead exceeds ``--max-overhead``
 (3% by default).  An enabled-observer run is timed alongside for
 comparison.
 
@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.hazards.hurricane.standard import DEFAULT_SEED, standard_oahu_generator
 from repro.obs import Observability, activate
+from repro.runtime.controller import row_blocks
 
 
 def time_generation(generator, count: int, seed: int) -> tuple[float, object]:
@@ -56,15 +57,19 @@ def time_generation(generator, count: int, seed: int) -> tuple[float, object]:
 
 
 def time_raw_loop(generator, count: int, seed: int) -> tuple[float, object]:
-    """The un-supervised, un-instrumented baseline: a bare realize() loop."""
+    """The un-supervised, un-instrumented baseline: a bare realize_block()
+    loop over the same row blocks the run controller executes."""
     start = time.perf_counter()
     params = generator.sample_all_parameters(count, seed)
     seqs = np.random.SeedSequence(seed).spawn(count)
-    realizations = [
-        generator.realize(i, params[i], np.random.default_rng(seqs[i]))
-        for i in range(count)
-    ]
-    return time.perf_counter() - start, realizations
+    depths = np.empty((count, len(generator.asset_order)))
+    for block in row_blocks(range(count)):
+        depths[list(block)] = generator.realize_block(
+            block,
+            [params[i] for i in block],
+            [np.random.default_rng(seqs[i]) for i in block],
+        )
+    return time.perf_counter() - start, depths
 
 
 def measure_observer_overhead(
@@ -243,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=0.03,
         help="fail if the disabled-observer generate() path is more than "
-        "this fraction slower than the raw realize() loop",
+        "this fraction slower than the raw realize_block() loop",
     )
     parser.add_argument(
         "--overhead-count",

@@ -607,8 +607,8 @@ def _add_perf_args(p: argparse.ArgumentParser) -> None:
         "--task-timeout",
         type=float,
         default=None,
-        help="seconds before a running realization is declared hung and "
-        "its worker replaced (default: no timeout)",
+        help="seconds before a running block of realizations is declared "
+        "hung and its worker replaced (default: no timeout)",
     )
 
 

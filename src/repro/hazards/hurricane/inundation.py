@@ -15,6 +15,7 @@ Mirrors the paper's treatment of the raw surge output (Section V-A):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -24,7 +25,13 @@ from repro.geo.region import CoastalRegion
 from repro.hazards.hurricane.mesh import CoastalMesh
 
 
-def smooth_shoreline(mesh: CoastalMesh, wse_m: np.ndarray, window: int = 2) -> np.ndarray:
+def smooth_shoreline(
+    mesh: CoastalMesh,
+    wse_m: np.ndarray,
+    window: int = 2,
+    *,
+    segments: Iterable[slice] | None = None,
+) -> np.ndarray:
     """Moving-average WSE along the shoreline, within each segment.
 
     The coarse mesh yields anomalous zero readings next to metre-scale ones
@@ -32,32 +39,40 @@ def smooth_shoreline(mesh: CoastalMesh, wse_m: np.ndarray, window: int = 2) -> n
     and each node is replaced by the mean of the non-zero readings in the
     ``2*window + 1`` node window centred on it (clipped to the segment).
     A window with no valid readings stays at zero.
+
+    ``wse_m`` is one realization's ``(N,)`` readings or a ``(B, N)`` block
+    of them; smoothing runs along the last axis, one pass per segment for
+    the whole block, and each row is bitwise equal to smoothing it alone.
+    ``segments`` passes precomputed ``mesh.segment_slices().values()`` so
+    repeated callers skip rebuilding them.
     """
     if window < 0:
         raise HazardError("smoothing window must be non-negative")
     values = np.asarray(wse_m, dtype=float)
-    if values.shape != (len(mesh),):
+    if values.ndim not in (1, 2) or values.shape[-1] != len(mesh):
         raise HazardError(
-            f"wse array has shape {values.shape}, expected ({len(mesh)},)"
+            f"wse array has shape {values.shape}, expected ({len(mesh)},) "
+            f"or (rows, {len(mesh)})"
         )
+    if segments is None:
+        segments = mesh.segment_slices().values()
     smoothed = np.empty_like(values)
+    rows = values.shape[:-1]
     width = 2 * window + 1
-    for seg_slice in mesh.segment_slices().values():
-        seg = values[seg_slice]
+    for seg_slice in segments:
+        seg = values[..., seg_slice]
+        n = seg.shape[-1]
         # Zero-pad the segment so every node sees a full-width window; the
         # pad entries are invalid (<= 0) so they drop out of both the sum
         # and the count, reproducing the clipped-window mean exactly.
-        padded = np.zeros(len(seg) + 2 * window)
-        if window:
-            padded[window:-window] = seg
-        else:
-            padded[:] = seg
-        windows = np.lib.stride_tricks.sliding_window_view(padded, width)
+        padded = np.zeros(rows + (n + 2 * window,))
+        padded[..., window : window + n] = seg
+        windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=-1)
         valid = windows > 0.0
-        sums = np.where(valid, windows, 0.0).sum(axis=1)
-        counts = valid.sum(axis=1)
-        smoothed[seg_slice] = np.divide(
-            sums, counts, out=np.zeros(len(seg)), where=counts > 0
+        sums = np.where(valid, windows, 0.0).sum(axis=-1)
+        counts = valid.sum(axis=-1)
+        smoothed[..., seg_slice] = np.divide(
+            sums, counts, out=np.zeros(rows + (n,)), where=counts > 0
         )
     return smoothed
 
@@ -130,6 +145,7 @@ class InundationMapper:
         self.asset_names = catalog.names
         self._elevations = np.array([catalog.get(n).elevation_m for n in self.asset_names])
         self._weights = self._build_weights()
+        self._segments = tuple(mesh.segment_slices().values())
 
     def _basin_for(self, asset_name: str) -> Basin | None:
         """The basin an asset belongs to, if any."""
@@ -190,16 +206,35 @@ class InundationMapper:
             weights[i] = w * attenuation
         return weights
 
+    def smooth(self, wse_m: np.ndarray) -> np.ndarray:
+        """Shoreline-smoothed WSE for one ``(N,)`` row or a ``(B, N)`` block."""
+        return smooth_shoreline(
+            self.mesh, wse_m, self.params.smoothing_window, segments=self._segments
+        )
+
+    def map_depths(self, smoothed: np.ndarray) -> np.ndarray:
+        """``(B, A)`` inundation depths from a ``(B, N)`` smoothed-WSE block.
+
+        Each row is its own matrix-vector product (``weights @ row``).  One
+        matrix-matrix product over the block would be faster, but BLAS
+        blocks a GEMM differently from a GEMV and the results drift in the
+        last bits, breaking bitwise identity with per-realization mapping.
+        """
+        depths = np.empty((smoothed.shape[0], len(self.asset_names)))
+        for wse, out in zip(smoothed, depths):
+            np.matmul(self._weights, wse, out=out)
+        np.subtract(depths, self._elevations, out=depths)
+        return np.maximum(0.0, depths, out=depths)
+
     def depths_from_wse(self, wse_m: np.ndarray) -> dict[str, float]:
         """Per-asset inundation depth (m) from raw shoreline WSE readings."""
-        smoothed = smooth_shoreline(self.mesh, wse_m, self.params.smoothing_window)
-        extended = self._weights @ smoothed
-        depths = np.maximum(0.0, extended - self._elevations)
+        smoothed = self.smooth(wse_m)
+        depths = self.map_depths(smoothed[None, :])[0]
         return dict(zip(self.asset_names, depths.tolist()))
 
     def wse_at_asset(self, wse_m: np.ndarray, asset: AssetRecord) -> float:
         """Extended (pre-elevation-subtraction) WSE at one asset."""
-        smoothed = smooth_shoreline(self.mesh, wse_m, self.params.smoothing_window)
+        smoothed = self.smooth(wse_m)
         idx = self.asset_names.index(asset.name)
         return float(self._weights[idx] @ smoothed)
 

@@ -153,8 +153,11 @@ class SurgeModel:
             for name in ("cx", "cy", "pc", "deficit", "rmax_m", "f", "vmax", "motion_ms", "mx", "my")
         }
         pairs = list(zip(track.points, track.points[1:]))
+        # The geodesic motion scalars depend only on the bracketing pair,
+        # so they are computed once per track segment, not per timestep.
+        motion: dict[int, tuple[float, float, float]] = {}
         for j, t in enumerate(times):
-            for a, b in pairs:
+            for k, (a, b) in enumerate(pairs):
                 if a.time_h <= t <= b.time_h:
                     break
             else:  # pragma: no cover - track.times() stays inside the track
@@ -166,8 +169,12 @@ class SurgeModel:
                 b.central_pressure_mb - a.central_pressure_mb
             )
             rmw_km = a.rmw_km + frac * (b.rmw_km - a.rmw_km)
-            motion_kmh = haversine_km(a.center, b.center) / (b.time_h - a.time_h)
-            mx, my = unit_vector_deg(initial_bearing_deg(a.center, b.center))
+            if k not in motion:
+                motion[k] = (
+                    haversine_km(a.center, b.center) / (b.time_h - a.time_h),
+                    *unit_vector_deg(initial_bearing_deg(a.center, b.center)),
+                )
+            motion_kmh, mx, my = motion[k]
 
             deficit_mb = AMBIENT_PRESSURE_MB - pressure
             deficit_pa = deficit_mb * 100.0
@@ -205,7 +212,8 @@ class SurgeModel:
         r_m = np.maximum(radius_km * 1000.0, 1.0)
         ratio_b = (col["rmax_m"] / r_m) ** _HOLLAND_B
         rf_half = r_m * col["f"] / 2.0
-        term = ratio_b * _HOLLAND_B * (col["deficit"] * 100.0) / AIR_DENSITY_KG_M3 * np.exp(-ratio_b)
+        exp_neg_ratio_b = np.exp(-ratio_b)
+        term = ratio_b * _HOLLAND_B * (col["deficit"] * 100.0) / AIR_DENSITY_KG_M3 * exp_neg_ratio_b
         gradient = np.sqrt(term + rf_half**2) - rf_half
 
         # Surface wind vectors (wind.wind_vectors, batched over time).
@@ -228,8 +236,8 @@ class SurgeModel:
         setup *= 1.0 + self.params.wave_setup_fraction
 
         # Inverse barometer from the Holland pressure profile (wind.pressure_mb);
-        # the profile's (Rmax/r)^B is the same ratio_b computed above.
-        local_pressure = col["pc"] + col["deficit"] * np.exp(-ratio_b)
+        # the profile's exp(-(Rmax/r)^B) is the same factor computed above.
+        local_pressure = col["pc"] + col["deficit"] * exp_neg_ratio_b
         deficit_mb = np.maximum(0.0, 1013.0 - local_pressure)
         barometer = self.params.inverse_barometer_m_per_mb * deficit_mb
         return setup + barometer + self.params.sea_level_offset_m

@@ -50,20 +50,23 @@ class Histogram:
         if not self.bucket_counts:
             self.bucket_counts = [0] * (len(self.bucket_bounds) + 1)
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Add ``count`` samples of ``value`` (one call for a whole block)."""
         if not math.isfinite(value):
             raise ObservabilityError(f"histogram sample must be finite, got {value!r}")
-        self.count += 1
-        self.total += value
+        if count < 1:
+            raise ObservabilityError(f"sample count must be positive, got {count!r}")
+        self.count += count
+        self.total += value * count
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
         for i, bound in enumerate(self.bucket_bounds):
             if value <= bound:
-                self.bucket_counts[i] += 1
+                self.bucket_counts[i] += count
                 return
-        self.bucket_counts[-1] += 1
+        self.bucket_counts[-1] += count
 
     @property
     def mean(self) -> float:
@@ -129,13 +132,13 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = value
 
-    def observe(self, name: str, value: float) -> None:
-        """Add one sample to the named histogram."""
+    def observe(self, name: str, value: float, count: int = 1) -> None:
+        """Add ``count`` samples of ``value`` to the named histogram."""
         with self._lock:
             hist = self._histograms.get(name)
             if hist is None:
                 hist = self._histograms[name] = Histogram()
-            hist.observe(value)
+            hist.observe(value, count)
 
     # ------------------------------------------------------------------
     # Read paths

@@ -70,8 +70,8 @@ class Observability:
     def set_gauge(self, name: str, value: float) -> None:
         self.metrics.set_gauge(name, value)
 
-    def observe(self, name: str, value: float) -> None:
-        self.metrics.observe(name, value)
+    def observe(self, name: str, value: float, count: int = 1) -> None:
+        self.metrics.observe(name, value, count)
 
     def event(self, kind: str, **fields) -> None:
         self.events.emit(kind, **fields)
@@ -104,7 +104,7 @@ class NullObservability:
     def set_gauge(self, name: str, value: float) -> None:
         return None
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: float, count: int = 1) -> None:
         return None
 
     def event(self, kind: str, **fields) -> None:

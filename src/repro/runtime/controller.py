@@ -1,48 +1,55 @@
 """The fault-tolerant run controller for the parallel realization pass.
 
 :class:`RunController` owns what used to be an unsupervised
-``ProcessPoolExecutor.map``: it submits one task per realization, retries
-retryable failures with capped exponential backoff, enforces a per-task
-timeout on hung workers, survives a collapsed pool
-(``BrokenProcessPool`` after a worker is killed), validates every
-returned payload, and streams completed realizations into a
-:class:`~repro.runtime.checkpoint.CheckpointStore` so an interrupted run
-resumes from its shards to a bit-identical ensemble.
+``ProcessPoolExecutor.map``.  Its unit of work is a *row block*: up to
+:data:`BLOCK_ROWS` realizations that one call to the generator's
+``realize_block`` surges, smooths and maps together (:func:`run_block`).
+Inline runs (``n_jobs=1``) execute the blocks in process; pooled runs
+submit one task per block.  Either way the controller retries retryable
+failures with capped exponential backoff, enforces a per-task timeout on
+hung workers, survives a collapsed pool (``BrokenProcessPool`` after a
+worker is killed), validates every returned row, and streams completed
+realizations into a :class:`~repro.runtime.checkpoint.CheckpointStore`
+so an interrupted run resumes from its shards to a bit-identical
+ensemble.
 
 Failure taxonomy (see :mod:`repro.errors`):
 
 * **retryable** -- :class:`WorkerCrashError` (worker died or its task
   raised an unexpected exception), :class:`WorkerTimeoutError` (task
   exceeded ``task_timeout_s``), :class:`CorruptResultError` (payload
-  failed validation).  Each retry is charged to the realization; after
-  ``max_retries`` charges the run flushes its checkpoint and raises
-  :class:`RetryExhaustedError`.
+  failed validation).  Each retry is charged to a realization index;
+  after ``max_retries`` charges the run flushes its checkpoint and
+  raises :class:`RetryExhaustedError`.
 * **fatal** -- any :class:`~repro.errors.ReproError` raised by the task
   itself: a deterministic modeling error that no retry will fix is
   surfaced immediately (after flushing the checkpoint).
 
-When a pool collapses, every in-flight task is charged one
-:class:`WorkerCrashError` attempt -- the collapse destroys the evidence
-of which task killed it -- and the pool is rebuilt.  A hung task charges
-only itself; innocent in-flight tasks lost to the rebuild are
-resubmitted without penalty.
+Charges stay per realization index.  A failure that belongs to one row
+-- a fault raised for that index, or a corrupt (non-finite) row --
+charges only that index and resubmits only it.  A failure of the whole
+task charges every index in its block: an exception out of
+``realize_block`` itself, a block running past the timeout, and a pool
+collapse, which charges every index of every in-flight block because the
+collapse destroys the evidence of which task killed the worker.  The
+pool is then rebuilt and the unfinished indices are cut into new blocks.
 
 Determinism: realization ``i`` consumes only the serial parameter pass's
 ``params[i]`` and a generator freshly derived from
-``SeedSequence(seed).spawn(count)[i]`` at every (re)submission, so
-retries, worker counts, pool rebuilds, and resume all produce the same
-bits.
+``SeedSequence(seed).spawn(count)[i]`` at every (re)submission, and each
+row of a block is bitwise independent of the rows beside it, so retries,
+block boundaries, worker counts, pool rebuilds, and resume all produce
+the same bits.
 
-Transport: pooled runs default to the *in-place* depth transport -- a
-parent-owned shared-memory board
+Transport: inline runs write each block's depth rows straight into the
+run's ``(R x A)`` depth matrix.  Pooled runs default to the *in-place*
+transport -- a parent-owned shared-memory board
 (:class:`~repro.io.shared_ensemble.DepthShardBoard`) that workers write
-each realization's depth row into directly, returning only a light
-:class:`DepthShard` payload instead of pickling the per-asset mapping
-back through the result pipe.  Every row is still validated through the
-same ``_validate`` path, faults and retries behave identically (a retry
-rewrites the same bits), and the finished board primes the ensemble's
-depth-matrix cache.  ``transport="pickle"`` pins the historical
-per-result pickling baseline.
+their block's rows into directly, returning only a light
+:class:`BlockOutcome` instead of pickling per-asset mappings back
+through the result pipe.  Either way the finished matrix primes the
+ensemble's depth-matrix cache.  ``transport="pickle"`` pins the
+historical per-result pickling baseline.
 """
 
 from __future__ import annotations
@@ -50,8 +57,9 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isfinite
+from typing import Sequence
 
 import numpy as np
 
@@ -73,23 +81,92 @@ from repro.hazards.hurricane.inundation import InundationField
 from repro.io.shared_ensemble import DepthShardBoard
 from repro.obs.observer import current as current_observer
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.faults import FaultPlan
+from repro.runtime.faults import FaultPlan, InjectedCrash
 
 #: Transport choices for pooled runs: how workers return depths.
 TRANSPORTS = ("auto", "inplace", "pickle")
 
+#: Realizations per unit of work.  The smoothing pass and, when pooled,
+#: the task submit and result transfer are paid once per block; 64 rows
+#: amortize them while keeping blocks small enough to spread over
+#: workers.  Pooled runs cut smaller blocks when that is what gives
+#: every worker one (see :func:`row_blocks`).
+BLOCK_ROWS = 64
+
+
+def row_blocks(indices: Sequence[int], n_jobs: int = 1) -> list[tuple[int, ...]]:
+    """Cut ``indices`` into consecutive blocks of at most :data:`BLOCK_ROWS`.
+
+    Blocks shrink when there are too few indices for one block per each
+    of ``n_jobs`` workers.
+    """
+    indices = list(indices)
+    size = max(1, min(BLOCK_ROWS, -(-len(indices) // n_jobs)))
+    return [tuple(indices[i : i + size]) for i in range(0, len(indices), size)]
+
 
 @dataclass(frozen=True)
-class DepthShard:
-    """A worker's light result payload under the in-place transport.
+class BlockOutcome:
+    """One row block's result, computed in process or by a worker.
 
-    The realization's depth row already sits in the parent-owned
-    :class:`~repro.io.shared_ensemble.DepthShardBoard` at ``index``; only
-    the storm parameters (a handful of floats) cross the result pipe.
+    ``indices`` are the rows that ran, in block order; a row whose
+    scripted fault raised before the block ran is in ``failures``
+    instead.  ``depths`` holds the rows that ran -- ``None`` once a
+    worker has written them onto the in-place board -- and
+    ``realizations`` their per-asset mappings under the pickled
+    transport.  ``timings`` carries the block's hazard sub-layer seconds.
     """
 
-    index: int
-    params: StormParameters
+    indices: tuple[int, ...]
+    failures: dict[int, BaseException]
+    timings: dict[str, float]
+    depths: np.ndarray | None = None
+    realizations: tuple[HurricaneRealization, ...] | None = None
+
+
+def run_block(
+    generator: EnsembleGenerator,
+    faults: FaultPlan | None,
+    indices: Sequence[int],
+    attempts: Sequence[int],
+    params: Sequence[StormParameters],
+    seqs: Sequence[np.random.SeedSequence],
+    inline: bool = False,
+) -> BlockOutcome:
+    """The unit of work: one row block through ``realize_block``.
+
+    ``attempts``, ``params`` and ``seqs`` line up with ``indices``.  Each
+    row's dropout rng is derived afresh from its seed sequence.  Scripted
+    faults fire per index before the block runs; a row whose fault raises
+    is reported in ``failures`` and left out.  ``corrupt`` faults poison
+    their row after it is computed, for validation to catch.
+    """
+    failures: dict[int, BaseException] = {}
+    if faults is not None:
+        for index, attempt in zip(indices, attempts):
+            try:
+                faults.apply_before(index, attempt, inline=inline)
+            except InjectedCrash as exc:
+                failures[index] = exc
+    rows = [k for k, index in enumerate(indices) if index not in failures]
+    ran = tuple(indices[k] for k in rows)
+    timings: dict[str, float] = {}
+    depths = generator.realize_block(
+        ran,
+        [params[k] for k in rows],
+        [np.random.default_rng(seqs[k]) for k in rows],
+        timings=timings,
+    )
+    expected = (len(ran), len(generator.asset_order))
+    if depths.shape != expected:
+        raise CorruptResultError(
+            f"block of {len(ran)} rows returned depths shaped {depths.shape}, "
+            f"expected {expected}"
+        )
+    if faults is not None:
+        for k, row in zip(rows, depths):
+            faults.mangle_row(indices[k], attempts[k], row)
+    return BlockOutcome(indices=ran, failures=failures, timings=timings, depths=depths)
 
 
 @dataclass(frozen=True)
@@ -169,16 +246,13 @@ class RunController:
         self.faults = faults
         self.checkpoint = checkpoint
         self.transport = transport
-        self._expected_assets = frozenset(a.name for a in generator.catalog)
-        self._asset_order: tuple[str, ...] = tuple(
-            getattr(generator, "asset_order", ()) or ()
-        )
-        if transport == "inplace" and not self._asset_order:
-            raise RuntimeControlError(
-                "in-place transport needs a generator exposing asset_order"
-            )
-        self._board: DepthShardBoard | None = None
-        self._board_matrix: "np.ndarray | None" = None
+        self._asset_order: tuple[str, ...] = tuple(generator.asset_order)
+        self._expected_assets = frozenset(self._asset_order)
+        # The run's (R x A) depth matrix while it fills: a private array
+        # inline, the shared board's view on the in-place transport, and
+        # None on the pickled transport.
+        self._rows: np.ndarray | None = None
+        self._timings: dict[str, float] = {}
         self.retries_by_index: dict[int, int] = {}
         self.pool_rebuilds = 0
         self.resumed_realizations = 0
@@ -209,6 +283,7 @@ class RunController:
             else:
                 self.checkpoint.reset()
         pending = [i for i in range(self.count) if i not in results]
+        self._timings = {}
         try:
             with obs.span(
                 "ensemble.realization_pass",
@@ -216,9 +291,16 @@ class RunController:
                 n_jobs=self.n_jobs,
             ):
                 if self.n_jobs == 1:
+                    self._rows = self._fill_resumed(
+                        np.empty((self.count, len(self._asset_order))), results
+                    )
                     self._run_inline(pending, params, seqs, results)
                 else:
                     self._run_pool(pending, params, seqs, results)
+                # Hazard sub-layers: one aggregate leaf each, summed over
+                # blocks (worker seconds on pooled runs).
+                for name, seconds in self._timings.items():
+                    obs.record_span(name, seconds, realizations=len(pending))
         finally:
             self._flush()
         obs.inc("runtime.realizations_completed", len(pending))
@@ -227,15 +309,24 @@ class RunController:
             realizations=tuple(results[i] for i in range(self.count)),
             seed=self.seed,
         )
-        if self._board_matrix is not None:
-            # The in-place transport already holds the full (R x A) depth
-            # matrix: prime the ensemble's lazy cache so the batched
-            # executor never re-walks a million per-realization dicts.
+        if self._rows is not None:
+            # The run already holds the full (R x A) depth matrix: prime
+            # the ensemble's lazy cache so the batched executor never
+            # re-walks the per-realization dicts.
             columns = {name: i for i, name in enumerate(self._asset_order)}
-            object.__setattr__(
-                ensemble, "_depth_cache", (self._board_matrix, columns)
-            )
+            object.__setattr__(ensemble, "_depth_cache", (self._rows, columns))
         return ensemble
+
+    def _fill_resumed(self, rows: np.ndarray, results) -> np.ndarray:
+        """Copy already-settled (checkpoint-resumed) realizations into ``rows``."""
+        for realization in results.values():
+            depths = realization.inundation.depths_m
+            rows[realization.index, :] = np.fromiter(
+                (depths[name] for name in self._asset_order),
+                dtype=np.float64,
+                count=len(self._asset_order),
+            )
+        return rows
 
     def _flush(self) -> None:
         if self.checkpoint is not None:
@@ -247,38 +338,63 @@ class RunController:
             self.checkpoint.record(realization)
 
     # ------------------------------------------------------------------
-    # Failure handling
+    # Settling blocks
     # ------------------------------------------------------------------
-    def _accept(self, index: int, payload) -> HurricaneRealization:
-        """Validate one pooled result and rebuild it if it is a shard.
+    def _settle(self, block, outcome, params, results) -> list[int]:
+        """Validate and record one finished block.
 
-        Workers on the in-place transport return a :class:`DepthShard`
-        whose depth row already sits on the shared board.  The same
-        guarantees as ``_validate`` hold -- index, asset-set, and
-        finiteness -- but each check runs where it is cheap: the asset
-        set was enforced in the worker before the row could land (the
-        board's column order *is* the catalog's), the index is compared
-        directly, and finiteness is one vectorized pass over the row
-        instead of a Python walk over the rebuilt mapping.  Any other
-        payload (pickled transport, or a mangled result) goes through
-        ``_validate`` untouched.
+        Returns the indices to resubmit, each already charged.  A payload
+        that does not account for exactly the block's indices is corrupt
+        as a whole; otherwise each faulted or corrupt row charges only
+        its own index.
         """
-        if self._board is None or not isinstance(payload, DepthShard):
-            return self._validate(index, payload)
-        if payload.index != index:
-            raise CorruptResultError(
-                f"task {index} returned realization {payload.index}"
+        if not self._well_formed(block, outcome):
+            return self._fail(
+                block, CorruptResultError(f"block at {block[0]} returned a malformed result")
             )
-        row = self._board.view[index]
-        if not bool(np.isfinite(row).all()):
-            raise CorruptResultError(f"task {index} returned non-finite depths")
-        return HurricaneRealization(
-            index=index,
-            params=payload.params,
-            inundation=InundationField(
-                depths_m=dict(zip(self._board.asset_names, row.tolist()))
-            ),
-        )
+        retry: list[int] = []
+        for index, exc in outcome.failures.items():
+            retry += self._fail([index], exc)
+        if outcome.realizations is not None:  # the pickled transport
+            for index, realization in zip(outcome.indices, outcome.realizations):
+                try:
+                    self._record(results, self._validate(index, realization))
+                except CorruptResultError as exc:
+                    retry += self._fail([index], exc)
+            return retry
+        assert self._rows is not None
+        ran = list(outcome.indices)
+        if outcome.depths is not None:
+            self._rows[ran] = outcome.depths
+        depths = self._rows[ran]
+        finite = np.isfinite(depths).all(axis=1).tolist()
+        for index, ok, row in zip(ran, finite, depths.tolist()):
+            if not ok:
+                retry += self._fail(
+                    [index], CorruptResultError(f"task {index} returned non-finite depths")
+                )
+                continue
+            self._record(
+                results,
+                HurricaneRealization(
+                    index=index,
+                    params=params[index],
+                    inundation=InundationField(
+                        depths_m=dict(zip(self._asset_order, row))
+                    ),
+                ),
+            )
+        return retry
+
+    @staticmethod
+    def _well_formed(block, outcome) -> bool:
+        """Whether a payload accounts for exactly the block's indices."""
+        if not isinstance(outcome, BlockOutcome):
+            return False
+        if sorted(outcome.indices + tuple(outcome.failures)) != sorted(block):
+            return False
+        realizations = outcome.realizations
+        return realizations is None or len(realizations) == len(outcome.indices)
 
     def _validate(self, index: int, result) -> HurricaneRealization:
         if not isinstance(result, HurricaneRealization):
@@ -296,6 +412,18 @@ class RunController:
             raise CorruptResultError(f"task {index} returned non-finite depths")
         return result
 
+    def _observe_block(self, outcome, seconds: float, settled: int) -> None:
+        """Fold one block's timings in: sub-layer sums and, per settled
+        row, the block's seconds per row it ran."""
+        for name, value in outcome.timings.items():
+            self._timings[name] = self._timings.get(name, 0.0) + value
+        if settled and self._obs.enabled:
+            rows = max(1, len(outcome.indices))
+            self._obs.observe("runtime.realization_s", seconds / rows, count=settled)
+
+    # ------------------------------------------------------------------
+    # Failure handling
+    # ------------------------------------------------------------------
     def _classify(self, exc: BaseException) -> RuntimeControlError | None:
         """Map a task failure to the taxonomy; ``None`` means fatal."""
         if isinstance(exc, RuntimeControlError):
@@ -305,6 +433,20 @@ class RunController:
         if isinstance(exc, BrokenProcessPool):
             return WorkerCrashError(f"worker pool collapsed: {exc}")
         return WorkerCrashError(f"task raised {type(exc).__name__}: {exc}")
+
+    def _fail(self, indices, exc: BaseException) -> list[int]:
+        """Charge ``exc`` to each index and return them for resubmission.
+
+        A fatal ``exc`` is re-raised at once, after flushing the
+        checkpoint.
+        """
+        error = self._classify(exc)
+        if error is None:
+            self._flush()
+            raise exc
+        for index in indices:
+            self._charge(index, error)
+        return list(indices)
 
     def _charge(self, index: int, error: RuntimeControlError) -> None:
         """Charge one retryable failure; raise once the budget is spent."""
@@ -328,47 +470,44 @@ class RunController:
     def _attempt_of(self, index: int) -> int:
         return self.retries_by_index.get(index, 0)
 
+    def _backoff(self, indices) -> None:
+        time.sleep(self.policy.backoff_s(max(self._attempt_of(i) for i in indices)))
+
+    def _task_args(self, block, params, seqs) -> tuple:
+        return (
+            block,
+            [self._attempt_of(i) for i in block],
+            [params[i] for i in block],
+            [seqs[i] for i in block],
+        )
+
     # ------------------------------------------------------------------
     # Inline (n_jobs == 1) execution
     # ------------------------------------------------------------------
     def _run_inline(self, pending, params, seqs, results) -> None:
-        observed = self._obs.enabled
-        for index in pending:
-            while True:
-                attempt = self._attempt_of(index)
-                rng = np.random.default_rng(seqs[index])
+        for block in row_blocks(pending):
+            while block:
+                started = time.perf_counter()
                 try:
-                    started = time.perf_counter() if observed else 0.0
-                    if self.faults is not None:
-                        self.faults.apply_before(index, attempt, inline=True)
-                    realization = self.generator.realize(index, params[index], rng)
-                    if self.faults is not None:
-                        realization = self.faults.mangle_result(
-                            index, attempt, realization
-                        )
-                    self._record(results, self._validate(index, realization))
-                    if observed:
-                        self._obs.observe(
-                            "runtime.realization_s",
-                            time.perf_counter() - started,
-                        )
-                    break
+                    outcome = run_block(
+                        self.generator,
+                        self.faults,
+                        *self._task_args(block, params, seqs),
+                        inline=True,
+                    )
                 except Exception as exc:
-                    retryable = self._classify(exc)
-                    if retryable is None:
-                        self._flush()
-                        raise
-                    self._charge(index, retryable)
-                    time.sleep(self.policy.backoff_s(self._attempt_of(index)))
+                    retry = self._fail(block, exc)
+                else:
+                    seconds = time.perf_counter() - started
+                    retry = self._settle(block, outcome, params, results)
+                    self._observe_block(outcome, seconds, len(block) - len(retry))
+                if retry:
+                    self._backoff(retry)
+                block = tuple(retry)
 
     # ------------------------------------------------------------------
     # Pooled execution
     # ------------------------------------------------------------------
-    def _use_inplace(self) -> bool:
-        if self.transport == "pickle":
-            return False
-        return bool(self._asset_order)
-
     def _publish_board(self, results) -> "DepthShardBoard | None":
         """Create the in-place depth board, or ``None`` for pickling.
 
@@ -378,7 +517,7 @@ class RunController:
         (no shared memory on this host) degrades to the pickled
         transport rather than failing the run.
         """
-        if not self._use_inplace():
+        if self.transport == "pickle":
             return None
         try:
             board = DepthShardBoard.create(self.count, self._asset_order)
@@ -388,18 +527,13 @@ class RunController:
                     f"in-place transport unavailable: {exc}"
                 ) from exc
             return None
-        for realization in results.values():
-            depths = realization.inundation.depths_m
-            board.view[realization.index, :] = np.fromiter(
-                (depths[name] for name in self._asset_order),
-                dtype=np.float64,
-                count=len(self._asset_order),
-            )
+        self._fill_resumed(board.view, results)
         return board
 
     def _run_pool(self, pending, params, seqs, results) -> None:
         remaining = set(pending)
-        board = self._board = self._publish_board(results)
+        board = self._publish_board(results)
+        self._rows = board.view if board is not None else None
         self._obs.event(
             "generation_transport",
             transport="inplace" if board is not None else "pickle",
@@ -428,32 +562,30 @@ class RunController:
                     self._obs.inc("runtime.pool_rebuilds")
                     self._obs.event("pool_rebuild", remaining=len(remaining))
             if board is not None:
-                self._board_matrix = board.snapshot()
+                # A private copy: the segment is unlinked below.
+                self._rows = board.snapshot()
         finally:
-            self._board = None
             if board is not None:
+                if self._rows is board.view:
+                    self._rows = None
                 board.close()
                 board.unlink()
 
-    def _submit(self, executor, index, params, seqs) -> Future:
-        return executor.submit(
-            _run_task,
-            index,
-            self._attempt_of(index),
-            params[index],
-            np.random.default_rng(seqs[index]),
-        )
-
     def _drive_pool(self, executor, remaining, params, seqs, results) -> bool:
-        """Run tasks on one pool; ``True`` means the pool must be rebuilt."""
-        observed = self._obs.enabled
-        futures: dict[Future, int] = {
-            self._submit(executor, i, params, seqs): i for i in sorted(remaining)
-        }
+        """Run blocks on one pool; ``True`` means the pool must be rebuilt."""
+        futures: dict[Future, tuple[int, ...]] = {}
         # Submit-to-completion latency per future (includes queueing).
-        submitted_at: dict[Future, float] = (
-            {f: time.perf_counter() for f in futures} if observed else {}
-        )
+        submitted_at: dict[Future, float] = {}
+
+        def submit(indices) -> None:
+            for block in row_blocks(sorted(indices), self.n_jobs):
+                future = executor.submit(
+                    _run_block_task, *self._task_args(block, params, seqs)
+                )
+                futures[future] = block
+                submitted_at[future] = time.perf_counter()
+
+        submit(remaining)
         running_since: dict[Future, float] = {}
         while futures:
             done, _ = wait(
@@ -463,46 +595,33 @@ class RunController:
             broken = False
             retry_now: list[int] = []
             for future in done:
-                index = futures.pop(future)
+                block = futures.pop(future)
+                started = submitted_at.pop(future)
                 try:
-                    realization = self._accept(index, future.result())
+                    outcome = future.result()
                 except Exception as exc:
-                    submitted_at.pop(future, None)
-                    if isinstance(exc, BrokenProcessPool):
-                        broken = True
-                    retryable = self._classify(exc)
-                    if retryable is None:
-                        self._flush()
-                        raise
-                    self._charge(index, retryable)
-                    retry_now.append(index)
-                else:
-                    if observed:
-                        started = submitted_at.pop(future, None)
-                        if started is not None:
-                            self._obs.observe(
-                                "runtime.realization_s",
-                                time.perf_counter() - started,
-                            )
-                    self._record(results, realization)
-                    remaining.discard(index)
+                    broken = broken or isinstance(exc, BrokenProcessPool)
+                    retry_now += self._fail(block, exc)
+                    continue
+                seconds = time.perf_counter() - started
+                retry = self._settle(block, outcome, params, results)
+                self._observe_block(outcome, seconds, len(block) - len(retry))
+                remaining.difference_update(block)
+                remaining.update(retry)
+                retry_now += retry
             if broken:
                 # The collapse destroyed any evidence of which in-flight
-                # task killed the worker: charge them all one attempt.
-                # (retry_now tasks were already charged above; all stay in
-                # ``remaining`` and rerun on the rebuilt pool.)
-                for index in futures.values():
-                    self._charge(
-                        index, WorkerCrashError("worker pool collapsed mid-task")
-                    )
+                # block killed the worker: charge every index in them all.
+                # (retry_now indices were already charged above; all stay
+                # in ``remaining`` and rerun on the rebuilt pool.)
+                collapse = WorkerCrashError("worker pool collapsed mid-task")
+                for block in futures.values():
+                    self._fail(block, collapse)
                 return True
-            for index in retry_now:
-                time.sleep(self.policy.backoff_s(self._attempt_of(index)))
+            if retry_now:
+                self._backoff(retry_now)
                 try:
-                    future = self._submit(executor, index, params, seqs)
-                    futures[future] = index
-                    if observed:
-                        submitted_at[future] = time.perf_counter()
+                    submit(retry_now)
                 except BrokenProcessPool:
                     return True  # already charged; rerun on the rebuilt pool
             if self._hung_task(futures, running_since):
@@ -510,7 +629,7 @@ class RunController:
         return False
 
     def _hung_task(self, futures, running_since) -> bool:
-        """Charge any task running past the timeout; ``True`` if one hung."""
+        """Charge a block running past the timeout; ``True`` if one hung."""
         timeout = self.policy.task_timeout_s
         if timeout is None:
             return False
@@ -520,11 +639,12 @@ class RunController:
                 running_since[future] = now
         for future, started in running_since.items():
             if future in futures and now - started > timeout:
-                index = futures[future]
-                self._charge(
-                    index,
+                block = futures[future]
+                self._fail(
+                    block,
                     WorkerTimeoutError(
-                        f"realization {index} still running after {timeout:.3g}s"
+                        f"block at realization {block[0]} ({len(block)} rows) "
+                        f"still running after {timeout:.3g}s"
                     ),
                 )
                 return True
@@ -582,40 +702,28 @@ def _init_worker(
     )
 
 
-def _write_shard(index: int, realization) -> object:
-    """Write the realization's depth row in place; return a light shard.
+def _run_block_task(indices, attempts, params, seqs) -> BlockOutcome:
+    """One pooled block: run it, then hand its rows back.
 
-    The asset set is validated *in the worker* -- a row with missing or
-    extra assets must never land on the board -- and a mismatch raises
-    the same retryable :class:`CorruptResultError` the parent would have
-    raised.  A payload that is not a realization at all, or one claiming
-    a foreign index, is returned unwritten so the parent's validation
-    reports it exactly as the pickled transport would (depth *values*
-    are also still re-checked parent-side: a non-finite row is caught by
-    ``_validate`` and the retry overwrites it).
+    On the in-place transport the rows land on the shared board (their
+    width was checked by :func:`run_block`, so a malformed block never
+    reaches it) and only the light outcome crosses the result pipe; on
+    the pickled transport each row travels back as a realization.
     """
-    board = _WORKER_BOARD
-    assert board is not None
-    if not isinstance(realization, HurricaneRealization):
-        return realization
-    if realization.index != index:
-        return realization
-    depths = realization.inundation.depths_m
-    if tuple(depths) != board.asset_names:
-        raise CorruptResultError(f"task {index} produced a wrong asset set")
-    board.view[index, :] = np.fromiter(
-        depths.values(), dtype=np.float64, count=len(board.asset_names)
+    generator = _WORKER_GENERATOR
+    assert generator is not None, "worker pool not initialized"
+    outcome = run_block(generator, _WORKER_FAULTS, indices, attempts, params, seqs)
+    if _WORKER_BOARD is not None:
+        _WORKER_BOARD.view[list(outcome.indices)] = outcome.depths
+        return replace(outcome, depths=None)
+    by_index = dict(zip(indices, params))
+    names = generator.asset_order
+    realizations = tuple(
+        HurricaneRealization(
+            index=index,
+            params=by_index[index],
+            inundation=InundationField(depths_m=dict(zip(names, row.tolist()))),
+        )
+        for index, row in zip(outcome.indices, outcome.depths)
     )
-    return DepthShard(index=index, params=realization.params)
-
-
-def _run_task(index, attempt, params, rng) -> object:
-    assert _WORKER_GENERATOR is not None, "worker pool not initialized"
-    if _WORKER_FAULTS is not None:
-        _WORKER_FAULTS.apply_before(index, attempt)
-    realization = _WORKER_GENERATOR.realize(index, params, rng)
-    if _WORKER_FAULTS is not None:
-        realization = _WORKER_FAULTS.mangle_result(index, attempt, realization)
-    if _WORKER_BOARD is None:
-        return realization
-    return _write_shard(index, realization)
+    return replace(outcome, depths=None, realizations=realizations)

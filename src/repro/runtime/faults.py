@@ -20,8 +20,8 @@ Four behaviors are supported:
   the pool (``BrokenProcessPool``).  Inline (``n_jobs=1``) runs downgrade
   this to ``crash`` so the host process survives.
 * ``hang``  -- the task sleeps far past any sane per-task timeout.
-* ``corrupt`` -- the task completes but returns a mangled payload (wrong
-  index, non-finite depths) that must be caught by result validation.
+* ``corrupt`` -- the task completes but its depth row is non-finite,
+  which must be caught by result validation.
 
 The plan can also damage artifacts *at rest*: :meth:`corrupt_file`
 overwrites a prefix of an on-disk shard or cache entry with seeded
@@ -108,7 +108,7 @@ class FaultPlan:
         return self._add(FaultSpec(index, FaultKind.HANG, times, hang_s=hang_s))
 
     def corrupt(self, index: int, times: int = 1) -> "FaultPlan":
-        """Make realization ``index`` return a mangled payload."""
+        """Make realization ``index`` return a non-finite depth row."""
         return self._add(FaultSpec(index, FaultKind.CORRUPT, times))
 
     @classmethod
@@ -181,16 +181,10 @@ class FaultPlan:
                 raise InjectedCrash(f"injected hang (realization {index}, inline)")
             time.sleep(spec.hang_s)
 
-    def mangle_result(self, index: int, attempt: int, result):
-        """Apply a ``corrupt`` fault to a completed task's payload."""
-        if self.action_for(index, attempt) is not FaultKind.CORRUPT:
-            return result
-        depths = {name: math.nan for name in result.inundation.depths_m}
-        return type(result)(
-            index=result.index,
-            params=result.params,
-            inundation=type(result.inundation)(depths_m=depths),
-        )
+    def mangle_row(self, index: int, attempt: int, row: np.ndarray) -> None:
+        """Apply a ``corrupt`` fault to a computed depth row, in place."""
+        if self.action_for(index, attempt) is FaultKind.CORRUPT:
+            row[:] = math.nan
 
     # ------------------------------------------------------------------
     # Disk-side application

@@ -10,8 +10,8 @@ Everything downstream is reused verbatim -- the fault-tolerant
 worker retry, bit-identical parallelism), the on-disk ensemble cache,
 and the sweep engine's shared-memory transport -- because the wrapper
 satisfies the exact generator contract those layers consume
-(``catalog``, ``scenario``, ``sample_all_parameters``, ``realize``,
-``cache_key``, ``generate``).
+(``catalog``, ``scenario``, ``asset_order``, ``sample_all_parameters``,
+``realize_block``, ``cache_key``, ``generate``).
 
 The wrapper's cache key folds the plan spec into the inner generator's
 content hash, so plan-sampled ensembles never collide with plain ones
@@ -32,7 +32,7 @@ from repro.hazards.hurricane.ensemble import EnsembleGenerator, StormParameters
 from repro.sampling.plans import SamplingPlan, is_plain
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hazards.hurricane.ensemble import HurricaneEnsemble, HurricaneRealization
+    from repro.hazards.hurricane.ensemble import HurricaneEnsemble
 
 
 @dataclass
@@ -89,10 +89,12 @@ class PlanSampledGenerator:
             for i in range(count)
         ]
 
-    def realize(
-        self, index: int, params: StormParameters, rng: np.random.Generator
-    ) -> "HurricaneRealization":
-        return self.inner.realize(index, params, rng)
+    @property
+    def asset_order(self) -> tuple[str, ...]:
+        return self.inner.asset_order
+
+    def realize_block(self, indices, params, rngs, timings=None) -> np.ndarray:
+        return self.inner.realize_block(indices, params, rngs, timings)
 
     def cache_key(self, count: int, seed: int) -> str:
         """The inner content hash salted with the plan spec."""

@@ -20,7 +20,13 @@ from repro.core.pipeline import CompoundThreatAnalysis
 from repro.core.states import OperationalState as S
 from repro.core.threat import PAPER_SCENARIOS
 from repro.errors import ConfigurationError
-from repro.obs import MANIFEST_REQUIRED_KEYS, ObservabilityWriteWarning
+from repro.hazards.hurricane.standard import standard_oahu_generator
+from repro.obs import (
+    MANIFEST_REQUIRED_KEYS,
+    Observability,
+    ObservabilityWriteWarning,
+    activate,
+)
 from repro.scada.architectures import PAPER_CONFIGURATIONS
 from repro.scada.placement import PLACEMENT_WAIAU
 
@@ -225,6 +231,26 @@ class TestManifestTelemetry:
         assert counters["runtime.realizations_completed"] == 50
         hist = result.manifest["metrics"]["histograms"]["runtime.realization_s"]
         assert hist["count"] == 50
+
+    def test_realization_pass_splits_into_hazard_sub_layers(self):
+        """Each hazard sub-layer is one aggregate leaf under the realization
+        pass (summed over row blocks, never a span per realization)."""
+        generator = standard_oahu_generator()
+        obs = Observability()
+        with activate(obs):
+            generator.generate(count=150, seed=3)
+        (generate,) = obs.tracer.roots
+        (realization_pass,) = [
+            c for c in generate.children if c.name == "ensemble.realization_pass"
+        ]
+        leaves = {c.name: c for c in realization_pass.children}
+        assert set(leaves) == {"hazard.surge", "hazard.smoothing", "hazard.depth_map"}
+        assert len(realization_pass.children) == 3
+        for leaf in leaves.values():
+            assert leaf.meta["aggregate"] and leaf.meta["realizations"] == 150
+        assert sum(c.duration_s for c in leaves.values()) <= realization_pass.duration_s
+        hist = obs.metrics.histogram("runtime.realization_s")
+        assert hist.count == 150
 
     def test_prebuilt_ensemble_has_no_acquire_stage(self, small_ensemble):
         """A user-supplied ensemble skips the generation stage entirely --

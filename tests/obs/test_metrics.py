@@ -62,6 +62,15 @@ class TestHistograms:
         hist = reg.histogram("latency_s")
         assert sum(hist.bucket_counts) == hist.count == 4
 
+    def test_counted_sample_equals_repeated_samples(self):
+        once, repeated = MetricsRegistry(), MetricsRegistry()
+        once.observe("latency_s", 0.25, count=4)
+        for _ in range(4):
+            repeated.observe("latency_s", 0.25)
+        assert once.snapshot() == repeated.snapshot()
+        with pytest.raises(ObservabilityError):
+            once.observe("latency_s", 0.25, count=0)
+
     def test_non_finite_sample_rejected(self):
         reg = MetricsRegistry()
         with pytest.raises(ObservabilityError):

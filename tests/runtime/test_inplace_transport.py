@@ -1,12 +1,12 @@
 """The in-place shared-memory generation transport.
 
-Pooled runs now default to workers writing each realization's depth row
-straight into a parent-owned :class:`DepthShardBoard` and returning only
-a light :class:`DepthShard` payload.  These tests pin the transport's
-guarantees: bitwise identity with both the pickled baseline and the
-inline oracle, the primed depth-matrix cache, in-worker asset-set
-validation, and fault-tolerance parity (a corrupt row is caught by the
-same validation path and overwritten by the retry).
+Pooled runs default to workers writing each row block's depths straight
+into a parent-owned :class:`DepthShardBoard` and returning only a light
+:class:`BlockOutcome`.  These tests pin the transport's guarantees:
+bitwise identity with both the pickled baseline and the inline oracle,
+the primed depth-matrix cache, the in-worker shape guard, and
+fault-tolerance parity (a corrupt row is caught by the same validation
+path and overwritten by the retry).
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ from repro.errors import CorruptResultError, RuntimeControlError
 from repro.hazards.hurricane.standard import standard_oahu_generator
 from repro.io.shared_ensemble import DepthShardBoard
 from repro.runtime import controller as controller_mod
-from repro.runtime.controller import DepthShard, RetryPolicy, RunController
+from repro.runtime.controller import BlockOutcome, RetryPolicy, RunController
 from repro.runtime.faults import FaultPlan
+from repro.sampling.generation import PlanSampledGenerator
+from repro.sampling.plans import resolve_sampling
 
 COUNT = 12
 SEED = 9090
@@ -51,13 +53,19 @@ class TestTransportSelection:
         with pytest.raises(RuntimeControlError, match="transport"):
             RunController(generator, COUNT, SEED, transport="carrier-pigeon")
 
-    def test_forced_inplace_needs_asset_order(self, generator):
-        class Bare:
-            catalog = ()
-            scenario = generator.scenario
-
-        with pytest.raises(RuntimeControlError, match="asset_order"):
-            RunController(Bare(), COUNT, SEED, transport="inplace")
+    def test_plan_sampled_generator_runs_inplace(self, generator):
+        """Plan-sampled generation keeps the in-place transport: forced, it
+        runs instead of refusing; under ``auto`` it no longer falls back
+        to pickling (which would leave the depth cache lazy)."""
+        sampled = PlanSampledGenerator(generator, resolve_sampling("stratified"))
+        assert sampled.asset_order == generator.asset_order
+        inline = RunController(sampled, COUNT, SEED, n_jobs=1).run()
+        for transport in ("inplace", "auto"):
+            pooled = RunController(
+                sampled, COUNT, SEED, n_jobs=2, transport=transport
+            ).run()
+            assert hasattr(pooled, "_depth_cache")
+            assert np.array_equal(pooled.depth_matrix(), inline.depth_matrix())
 
 
 class TestBitwiseIdentity:
@@ -116,22 +124,58 @@ class TestFaultParity:
         assert np.array_equal(ensemble.depth_matrix(), _depths(oracle))
 
 
+def _install_board(monkeypatch, generator):
+    """Stand up the worker globals of a pooled in-place run in-process."""
+    board = DepthShardBoard.create(4, tuple(generator.asset_order))
+    monkeypatch.setattr(controller_mod, "_WORKER_BOARD", board)
+    monkeypatch.setattr(controller_mod, "_WORKER_GENERATOR", generator)
+    monkeypatch.setattr(controller_mod, "_WORKER_FAULTS", None)
+    return board
+
+
+def _run_block(generator, indices):
+    params = generator.sample_all_parameters(COUNT, SEED)
+    seqs = np.random.SeedSequence(SEED).spawn(COUNT)
+    return controller_mod._run_block_task(
+        indices,
+        [0] * len(indices),
+        [params[i] for i in indices],
+        [seqs[i] for i in indices],
+    )
+
+
+class TestBlockWrite:
+    """The worker-side block shape guard, exercised in-process."""
+
+    def test_wrong_width_block_never_lands(self, monkeypatch, generator):
+        board = _install_board(monkeypatch, generator)
+        monkeypatch.setattr(
+            generator, "realize_block",
+            lambda indices, params, rngs, timings=None: np.ones((len(indices), 2)),
+        )
+        try:
+            with pytest.raises(CorruptResultError, match="shaped"):
+                _run_block(generator, (1, 2))
+            assert not board.view.any()  # nothing landed on the board
+        finally:
+            board.close()
+            board.unlink()
+
+
 class TestShardWrite:
-    """The worker-side write guard, exercised in-process."""
+    """A block task's writes onto the board, exercised in-process."""
 
-    def _with_board(self, monkeypatch, names):
-        board = DepthShardBoard.create(4, names)
-        monkeypatch.setattr(controller_mod, "_WORKER_BOARD", board)
-        return board
-
-    def test_wrong_asset_set_raises_retryable_in_worker(
+    def test_good_row_lands_and_returns_a_light_shard(
         self, monkeypatch, generator, oracle
     ):
-        board = self._with_board(monkeypatch, ("only", "two"))
+        board = _install_board(monkeypatch, generator)
         try:
-            with pytest.raises(CorruptResultError, match="asset set"):
-                controller_mod._write_shard(1, oracle[1])
-            assert not board.view.any()  # nothing landed on the board
+            outcome = _run_block(generator, (1,))
+            assert isinstance(outcome, BlockOutcome)
+            assert outcome.indices == (1,) and outcome.failures == {}
+            # The depths travel through the board, not the payload.
+            assert outcome.depths is None and outcome.realizations is None
+            assert np.array_equal(board.view[1], _depths(oracle)[1])
         finally:
             board.close()
             board.unlink()
@@ -139,27 +183,12 @@ class TestShardWrite:
     def test_foreign_index_passes_through_unwritten(
         self, monkeypatch, generator, oracle
     ):
-        board = self._with_board(monkeypatch, tuple(generator.asset_order))
+        board = _install_board(monkeypatch, generator)
         try:
-            # Claiming another task's index must not touch that row; the
-            # parent's validation then rejects the full payload as before.
-            result = controller_mod._write_shard(2, oracle[1])
-            assert result is oracle[1]
-            assert not board.view.any()
-        finally:
-            board.close()
-            board.unlink()
-
-    def test_good_row_lands_and_returns_a_light_shard(
-        self, monkeypatch, generator, oracle
-    ):
-        board = self._with_board(monkeypatch, tuple(generator.asset_order))
-        try:
-            shard = controller_mod._write_shard(1, oracle[1])
-            assert isinstance(shard, DepthShard)
-            assert shard.index == 1 and shard.params == oracle[1].params
-            row = [oracle[1].inundation.depths_m[n] for n in generator.asset_order]
-            assert np.array_equal(board.view[1], np.array(row))
+            _run_block(generator, (1, 2))
+            assert np.array_equal(board.view[1:3], _depths(oracle)[1:3])
+            # Rows of indices outside the block are never touched.
+            assert not board.view[0].any() and not board.view[3].any()
         finally:
             board.close()
             board.unlink()

@@ -24,7 +24,11 @@ def service_dir(tmp_path):
 
 
 #: An adaptive study whose target is unreachable, so it runs all its
-#: rounds -- plenty of boundaries for a cancel to land on.
+#: rounds -- plenty of boundaries for a cancel to land on.  A round takes
+#: a few tens of milliseconds, so the full run must span many seconds:
+#: the cancel has to arrive before the last round even when the test
+#: thread is descheduled on a loaded machine.  A run that is cancelled
+#: stops after its first round or two, so the bound costs nothing.
 LONG_ADAPTIVE_SPEC = {
     "n_realizations": 100,
     "configurations": ["2"],
@@ -32,7 +36,7 @@ LONG_ADAPTIVE_SPEC = {
     "sampling": {
         "plan": "adaptive",
         "round_size": 40,
-        "max_rounds": 60,
+        "max_rounds": 600,
         "target_rel_ci": 0.0001,
     },
 }
