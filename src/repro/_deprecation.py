@@ -96,3 +96,9 @@ register_deprecation(
     "CyberAttackStage's automatic per-pattern replay",
     removal_release="2.0.0",
 )
+register_deprecation(
+    "EnsembleGenerator.generate(transport=...)",
+    "generate() without it (pooled workers always return their row "
+    "blocks as arrays, so the argument has no effect)",
+    removal_release="2.0.0",
+)

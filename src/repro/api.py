@@ -517,9 +517,9 @@ def _prebuilt_ensemble_key(ensemble: HazardEnsemble) -> str:
             sort_keys=True,
         ).encode()
     )
-    depth_matrix = getattr(ensemble, "depth_matrix", None)
-    if callable(depth_matrix):
-        digest.update(np.ascontiguousarray(depth_matrix()).tobytes())
+    depth_view = getattr(ensemble, "depth_view", None)
+    if callable(depth_view):
+        digest.update(np.ascontiguousarray(depth_view()).tobytes())
     return f"prebuilt-{digest.hexdigest()[:32]}"
 
 

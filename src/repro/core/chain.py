@@ -974,12 +974,16 @@ def resolve_chain(chain: "ThreatChain | str | None") -> ThreatChain:
     return chain
 
 
+#: The paper's Fig. 5 stages: fragility -> worst-case attack -> Table I.
+#: The paper, earthquake and flood presets all run exactly these.
+FIG5_STAGES = (HazardImpactStage(), CyberAttackStage(), ClassificationStage())
+
 #: The paper's exact Fig. 5 pipeline (bit-identical to the historical
-#: hardcoded loop): fragility -> worst-case attack -> Table I.
+#: hardcoded loop).
 CHAIN_PAPER = register_chain(
     ThreatChain(
         name="paper",
-        stages=(HazardImpactStage(), CyberAttackStage(), ClassificationStage()),
+        stages=FIG5_STAGES,
         description="The paper's three-stage pipeline (Fig. 5).",
     )
 )
@@ -1010,7 +1014,7 @@ CHAIN_GRID_COUPLED = register_chain(
 CHAIN_EARTHQUAKE = register_chain(
     ThreatChain(
         name="earthquake",
-        stages=(HazardImpactStage(), CyberAttackStage(), ClassificationStage()),
+        stages=FIG5_STAGES,
         description=(
             "The Fig. 5 stages over any failed-assets hazard; the "
             "earthquake ensemble's PGA realizations plug in unchanged."
@@ -1025,7 +1029,7 @@ CHAIN_EARTHQUAKE = register_chain(
 CHAIN_FLOOD = register_chain(
     ThreatChain(
         name="flood",
-        stages=(HazardImpactStage(), CyberAttackStage(), ClassificationStage()),
+        stages=FIG5_STAGES,
         description=(
             "The Fig. 5 stages over the riverine flood ensemble's "
             "depth realizations."

@@ -191,8 +191,6 @@ class CompoundThreatAnalysis:
             self._batch_probed = True
             names = getattr(self.ensemble, "asset_names", None)
             view = getattr(self.ensemble, "depth_view", None)
-            if not callable(view):
-                view = getattr(self.ensemble, "depth_matrix", None)
             if names and callable(view):
                 depths = np.asarray(view())
                 if depths.ndim == 2 and depths.shape == (

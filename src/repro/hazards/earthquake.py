@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Mapping
 
 import numpy as np
 
 from repro.errors import HazardError
 from repro.geo.catalog import AssetCatalog
 from repro.geo.coords import GeoPoint, haversine_km
+from repro.hazards.base import MatrixEnsemble, RowMapping
 from repro.hazards.fragility import FragilityModel, ThresholdFragility
 
 #: Default anchorage capacity: unanchored substation equipment starts
@@ -103,7 +104,7 @@ class EarthquakeRealization:
     index: int
     magnitude: float
     epicenter: GeoPoint
-    pga_g: dict[str, float]
+    pga_g: Mapping[str, float]
 
     def pga_at(self, asset_name: str) -> float:
         try:
@@ -120,66 +121,30 @@ class EarthquakeRealization:
         return model.failed_assets(self.pga_g, rng)
 
 
-@dataclass(frozen=True)
-class EarthquakeEnsemble:
-    """An ordered collection of earthquake realizations."""
+class EarthquakeEnsemble(MatrixEnsemble):
+    """Earthquake realizations as the (R x A) PGA matrix plus a
+    (magnitude, epicenter) row per realization.
 
-    scenario_name: str
-    realizations: tuple[EarthquakeRealization, ...]
-    seed: int | None = None
+    The matrix keeps the ``depth_view``/``depth_matrix`` names of every
+    ensemble: the batched executor treats any per-asset intensity grid
+    uniformly (the seismic fragility thresholds PGA exactly as the flood
+    fragility thresholds depth).
+    """
 
-    def __post_init__(self) -> None:
-        if not self.realizations:
-            raise HazardError("ensemble must contain at least one realization")
+    param_columns = ("magnitude", "epicenter_lat", "epicenter_lon")
 
-    def __len__(self) -> int:
-        return len(self.realizations)
-
-    def __iter__(self) -> Iterator[EarthquakeRealization]:
-        return iter(self.realizations)
-
-    def __getitem__(self, index: int) -> EarthquakeRealization:
-        return self.realizations[index]
-
-    @property
-    def asset_names(self) -> list[str]:
-        return list(self.realizations[0].pga_g)
-
-    def _intensity_data(self) -> np.ndarray:
-        """The cached (R x A) peak-ground-acceleration matrix."""
-        try:
-            return self._intensity_cache  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-        names = self.asset_names
-        matrix = np.array([[r.pga_g[n] for n in names] for r in self.realizations])
-        object.__setattr__(self, "_intensity_cache", matrix)
-        return matrix
-
-    def depth_matrix(self) -> np.ndarray:
-        """(n_realizations, n_assets) PGA values.
-
-        Named for interface parity with the hurricane ensemble: the
-        batched executor treats any per-asset intensity grid uniformly
-        (the seismic fragility thresholds PGA exactly as the flood
-        fragility thresholds depth).
-        """
-        return self._intensity_data().copy()
-
-    def depth_view(self) -> np.ndarray:
-        """The cached intensity matrix without the defensive copy."""
-        return self._intensity_data()
+    def _realization(self, index: int) -> EarthquakeRealization:
+        magnitude, lat, lon = self._params[index].tolist()
+        return EarthquakeRealization(
+            index, magnitude, GeoPoint(lat, lon), self._row(index)
+        )
 
     def failure_probability(
         self, asset_name: str, fragility: FragilityModel | None = None
     ) -> float:
-        model = fragility or seismic_fragility()
-        hits = sum(
-            1
-            for r in self.realizations
-            if model.failure_probability(r.pga_at(asset_name)) >= 1.0
-        )
-        return hits / len(self.realizations)
+        """Fraction of realizations in which the asset certainly fails."""
+        mask = self._certain_failures([asset_name], fragility or seismic_fragility())
+        return int(np.count_nonzero(mask)) / len(self)
 
 
 class EarthquakeGenerator:
@@ -198,6 +163,7 @@ class EarthquakeGenerator:
         self.catalog = catalog
         self.scenario = scenario
         self._names = catalog.names
+        self._columns = {name: i for i, name in enumerate(self._names)}
         self._locations = [catalog.get(n).location for n in self._names]
         self._amplification = np.array(
             [
@@ -208,7 +174,8 @@ class EarthquakeGenerator:
             ]
         )
 
-    def realize(self, index: int, rng: np.random.Generator) -> EarthquakeRealization:
+    def _sample(self, rng: np.random.Generator) -> tuple[float, GeoPoint, np.ndarray]:
+        """One draw: (magnitude, epicenter, per-asset PGA)."""
         magnitude = self.scenario.sample_magnitude(rng)
         epicenter = self.scenario.sample_epicenter(rng)
         surface_km = np.array(
@@ -216,12 +183,12 @@ class EarthquakeGenerator:
         )
         hypocentral_km = np.hypot(surface_km, self.scenario.depth_km)
         pga = self.scenario.attenuation.pga_g(magnitude, hypocentral_km)
-        pga = pga * self._amplification
+        return magnitude, epicenter, pga * self._amplification
+
+    def realize(self, index: int, rng: np.random.Generator) -> EarthquakeRealization:
+        magnitude, epicenter, pga = self._sample(rng)
         return EarthquakeRealization(
-            index=index,
-            magnitude=magnitude,
-            epicenter=epicenter,
-            pga_g=dict(zip(self._names, pga.tolist())),
+            index, magnitude, epicenter, RowMapping(pga, self._columns)
         )
 
     def generate(
@@ -236,10 +203,12 @@ class EarthquakeGenerator:
         if count < 1:
             raise HazardError("ensemble size must be at least 1")
         rng = np.random.default_rng(seed)
-        realizations = tuple(self.realize(i, rng) for i in range(count))
-        return EarthquakeEnsemble(
-            scenario_name=self.scenario.name, realizations=realizations, seed=seed
-        )
+        pga = np.empty((count, len(self._names)))
+        params = np.empty((count, 3))
+        for i in range(count):
+            magnitude, epicenter, pga[i] = self._sample(rng)
+            params[i] = (magnitude, epicenter.lat, epicenter.lon)
+        return EarthquakeEnsemble(self.scenario.name, pga, self._names, seed, params)
 
     def cache_key(self, count: int, seed: int) -> str:
         """Content hash over the fault scenario, catalog, count, and seed."""

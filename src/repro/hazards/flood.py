@@ -27,13 +27,14 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator
+from typing import Mapping
 
 import numpy as np
 
 from repro.errors import HazardError
 from repro.geo.catalog import AssetCatalog
 from repro.geo.coords import GeoPoint, segment_distance_km
+from repro.hazards.base import MatrixEnsemble, RowMapping
 from repro.hazards.fragility import FragilityModel, ThresholdFragility
 
 __all__ = [
@@ -109,7 +110,7 @@ class FloodRealization:
     index: int
     discharge_m3s: float
     stage_m: float
-    depths_m: dict[str, float]
+    depths_m: Mapping[str, float]
 
     def depth_at(self, asset_name: str) -> float:
         try:
@@ -126,60 +127,22 @@ class FloodRealization:
         return model.failed_assets(self.depths_m, rng)
 
 
-@dataclass(frozen=True)
-class FloodEnsemble:
-    """An ordered collection of flood realizations."""
+class FloodEnsemble(MatrixEnsemble):
+    """Flood realizations as the (R x A) depth matrix plus a
+    (discharge, stage) row per realization."""
 
-    scenario_name: str
-    realizations: tuple[FloodRealization, ...]
-    seed: int | None = None
+    param_columns = ("discharge_m3s", "stage_m")
 
-    def __post_init__(self) -> None:
-        if not self.realizations:
-            raise HazardError("ensemble must contain at least one realization")
-
-    def __len__(self) -> int:
-        return len(self.realizations)
-
-    def __iter__(self) -> Iterator[FloodRealization]:
-        return iter(self.realizations)
-
-    def __getitem__(self, index: int) -> FloodRealization:
-        return self.realizations[index]
-
-    @property
-    def asset_names(self) -> list[str]:
-        return list(self.realizations[0].depths_m)
-
-    def _intensity_data(self) -> np.ndarray:
-        """The cached (R x A) inundation-depth matrix."""
-        try:
-            return self._intensity_cache  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-        names = self.asset_names
-        matrix = np.array([[r.depths_m[n] for n in names] for r in self.realizations])
-        object.__setattr__(self, "_intensity_cache", matrix)
-        return matrix
-
-    def depth_matrix(self) -> np.ndarray:
-        """(n_realizations, n_assets) inundation depths in metres."""
-        return self._intensity_data().copy()
-
-    def depth_view(self) -> np.ndarray:
-        """The cached depth matrix without the defensive copy."""
-        return self._intensity_data()
+    def _realization(self, index: int) -> FloodRealization:
+        discharge, stage = self._params[index].tolist()
+        return FloodRealization(index, discharge, stage, self._row(index))
 
     def flood_probability(
         self, asset_name: str, fragility: FragilityModel | None = None
     ) -> float:
-        model = fragility or flood_fragility()
-        hits = sum(
-            1
-            for r in self.realizations
-            if asset_name in r.failed_assets(fragility=model)
-        )
-        return hits / len(self.realizations)
+        """Fraction of realizations in which the asset fails."""
+        mask = self._certain_failures([asset_name], fragility or flood_fragility())
+        return int(np.count_nonzero(mask)) / len(self)
 
 
 class FloodGenerator:
@@ -198,6 +161,7 @@ class FloodGenerator:
         self.catalog = catalog
         self.scenario = scenario
         self._names = catalog.names
+        self._columns = {name: i for i, name in enumerate(self._names)}
         self._elevations = np.array(
             [catalog.get(n).elevation_m for n in self._names]
         )
@@ -215,15 +179,17 @@ class FloodGenerator:
             -self._channel_distance_km / scenario.floodplain_width_km
         )
 
-    def realize(self, index: int, rng: np.random.Generator) -> FloodRealization:
+    def _sample(self, rng: np.random.Generator) -> tuple[float, float, np.ndarray]:
+        """One draw: (discharge, stage, per-asset depths)."""
         discharge = self.scenario.sample_discharge(rng)
         stage = self.scenario.stage_for(discharge)
         depths = np.maximum(0.0, stage * self._lateral_decay - self._elevations)
+        return discharge, stage, depths
+
+    def realize(self, index: int, rng: np.random.Generator) -> FloodRealization:
+        discharge, stage, depths = self._sample(rng)
         return FloodRealization(
-            index=index,
-            discharge_m3s=discharge,
-            stage_m=stage,
-            depths_m=dict(zip(self._names, depths.tolist())),
+            index, discharge, stage, RowMapping(depths, self._columns)
         )
 
     def generate(
@@ -238,10 +204,11 @@ class FloodGenerator:
         if count < 1:
             raise HazardError("ensemble size must be at least 1")
         rng = np.random.default_rng(seed)
-        realizations = tuple(self.realize(i, rng) for i in range(count))
-        return FloodEnsemble(
-            scenario_name=self.scenario.name, realizations=realizations, seed=seed
-        )
+        depths = np.empty((count, len(self._names)))
+        params = np.empty((count, 2))
+        for i in range(count):
+            params[i, 0], params[i, 1], depths[i] = self._sample(rng)
+        return FloodEnsemble(self.scenario.name, depths, self._names, seed, params)
 
     def cache_key(self, count: int, seed: int) -> str:
         """Content hash over the flood scenario, catalog, count, and seed."""

@@ -146,15 +146,12 @@ class FragilityModel(abc.ABC):
         rng (and the batched path falls back to per-realization
         execution for models whose ``deterministic`` flag is False).
         """
-        flat = depths.reshape(-1)
-        probs = np.fromiter(
-            (self.failure_probability(float(d)) for d in flat), float, flat.size
-        )
+        probs = self.probability_matrix(depths)
         if bool(np.any((probs > 0.0) & (probs < 1.0))):
             raise HazardError(
                 "probabilistic fragility model requires an rng to sample outcomes"
             )
-        return (probs >= 1.0).reshape(depths.shape)
+        return probs >= 1.0
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,16 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro._deprecation import warn_deprecated
 from repro.errors import HazardError
 from repro.geo.catalog import AssetCatalog
 from repro.geo.coords import GeoPoint, destination_point
 from repro.geo.region import CoastalRegion
+from repro.hazards.base import MatrixEnsemble, RowMapping
 from repro.hazards.fragility import FragilityModel, ThresholdFragility
 from repro.hazards.hurricane.inundation import ExtensionParams, InundationField, InundationMapper
 from repro.hazards.hurricane.mesh import build_coastal_mesh
@@ -94,6 +96,44 @@ class StormParameters:
         )
 
 
+#: The storm-parameter table's columns, in :func:`params_to_row` order.
+PARAM_COLUMNS = (
+    "landfall_lat",
+    "landfall_lon",
+    "heading_deg",
+    "central_pressure_mb",
+    "rmw_km",
+    "forward_speed_kmh",
+    "track_offset_km",
+)
+
+
+def params_to_row(params: StormParameters) -> list[float]:
+    """Flatten storm parameters into the canonical 7-column row."""
+    return [
+        params.landfall.lat,
+        params.landfall.lon,
+        params.heading_deg,
+        params.central_pressure_mb,
+        params.rmw_km,
+        params.forward_speed_kmh,
+        params.track_offset_km,
+    ]
+
+
+def params_from_row(row) -> StormParameters:
+    """Rebuild storm parameters from a canonical 7-column row."""
+    lat, lon, heading, pressure, rmw, speed, offset = row
+    return StormParameters(
+        landfall=GeoPoint(float(lat), float(lon)),
+        heading_deg=float(heading),
+        central_pressure_mb=float(pressure),
+        rmw_km=float(rmw),
+        forward_speed_kmh=float(speed),
+        track_offset_km=float(offset),
+    )
+
+
 @dataclass(frozen=True)
 class HurricaneRealization:
     """One hurricane outcome: storm parameters plus asset inundation."""
@@ -114,98 +154,63 @@ class HurricaneRealization:
         return model.failed_assets(self.inundation.depths_m, rng)
 
 
-@dataclass(frozen=True)
-class HurricaneEnsemble:
-    """An ordered collection of hurricane realizations."""
+class HurricaneEnsemble(MatrixEnsemble):
+    """Hurricane realizations as the (R x A) depth matrix plus the
+    (R x 7) storm-parameter table (columns :data:`PARAM_COLUMNS`).
 
-    scenario_name: str
-    realizations: tuple[HurricaneRealization, ...]
-    seed: int | None = None
+    Realizations are row views (:class:`HurricaneRealization`) built on
+    demand; :meth:`from_realizations` packs hand-built realizations.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.realizations:
-            raise HazardError("ensemble must contain at least one realization")
+    param_columns = PARAM_COLUMNS
 
-    def __len__(self) -> int:
-        return len(self.realizations)
-
-    def __iter__(self) -> Iterator[HurricaneRealization]:
-        return iter(self.realizations)
-
-    def __getitem__(self, index: int) -> HurricaneRealization:
-        return self.realizations[index]
-
-    @property
-    def asset_names(self) -> list[str]:
-        return list(self.realizations[0].inundation.depths_m)
-
-    def _depth_data(self) -> tuple[np.ndarray, dict[str, int]]:
-        """The cached (R x A) depth matrix and its name -> column index."""
-        try:
-            return self._depth_cache  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-        names = self.asset_names
-        matrix = np.array(
-            [[r.inundation.depths_m[n] for n in names] for r in self.realizations]
+    def _realization(self, index: int) -> HurricaneRealization:
+        return HurricaneRealization(
+            index=index,
+            params=params_from_row(self._params[index]),
+            inundation=InundationField(depths_m=self._row(index)),
         )
-        columns = {name: i for i, name in enumerate(names)}
-        # Frozen dataclass: stash the lazily built cache via object.__setattr__.
-        object.__setattr__(self, "_depth_cache", (matrix, columns))
-        return matrix, columns
 
-    def _column(self, asset_name: str) -> np.ndarray:
-        matrix, columns = self._depth_data()
-        try:
-            return matrix[:, columns[asset_name]]
-        except KeyError:
-            raise HazardError(f"no inundation data for asset {asset_name!r}") from None
+    @classmethod
+    def from_realizations(
+        cls,
+        scenario_name: str,
+        realizations: Sequence[HurricaneRealization],
+        seed: int | None = None,
+    ) -> "HurricaneEnsemble":
+        """Pack realizations (row ``i`` is ``realizations[i]``) into the matrix.
 
-    @staticmethod
-    def _failure_mask(model: FragilityModel, depths: np.ndarray) -> np.ndarray:
-        """Boolean mask of certain failures (failure probability >= 1)."""
-        if isinstance(model, ThresholdFragility):
-            return depths > model.threshold_m
-        flat = depths.reshape(-1)
-        probs = np.fromiter(
-            (model.failure_probability(float(d)) for d in flat), float, len(flat)
-        )
-        return (probs >= 1.0).reshape(depths.shape)
-
-    def depth_matrix(self) -> np.ndarray:
-        """(n_realizations, n_assets) inundation depths."""
-        matrix, _ = self._depth_data()
-        return matrix.copy()
-
-    def depth_view(self) -> np.ndarray:
-        """The cached depth matrix without the defensive copy.
-
-        The batched executor reads this once per analysis; callers must
-        treat it as read-only (it backs every other depth query).
+        Every realization must carry the first one's asset set; columns
+        follow its mapping order.
         """
-        matrix, _ = self._depth_data()
-        return matrix
+        if not realizations:
+            raise HazardError("ensemble must contain at least one realization")
+        names = list(realizations[0].inundation.depths_m)
+        try:
+            depths = np.array(
+                [[r.inundation.depths_m[n] for n in names] for r in realizations],
+                dtype=np.float64,
+            )
+        except KeyError as exc:
+            raise HazardError(
+                f"realizations disagree on their assets: {exc.args[0]!r} missing"
+            ) from None
+        params = np.array([params_to_row(r.params) for r in realizations])
+        return cls(scenario_name, depths, names, seed, params)
 
     def flood_probability(
         self, asset_name: str, fragility: FragilityModel | None = None
     ) -> float:
         """Fraction of realizations in which the asset fails."""
-        model = fragility or ThresholdFragility()
-        hits = int(np.count_nonzero(self._failure_mask(model, self._column(asset_name))))
-        return hits / len(self.realizations)
+        return self.joint_flood_probability([asset_name], fragility)
 
     def joint_flood_probability(
         self, names: Sequence[str], fragility: FragilityModel | None = None
     ) -> float:
         """Fraction of realizations flooding *all* the named assets."""
         model = fragility or ThresholdFragility()
-        matrix, columns = self._depth_data()
-        try:
-            cols = [columns[n] for n in names]
-        except KeyError as exc:
-            raise HazardError(f"no inundation data for asset {exc.args[0]!r}") from None
-        mask = self._failure_mask(model, matrix[:, cols]).all(axis=1)
-        return int(np.count_nonzero(mask)) / len(self.realizations)
+        mask = self._certain_failures(names, model).all(axis=1)
+        return int(np.count_nonzero(mask)) / len(self)
 
     def conditional_flood_probability(
         self,
@@ -215,23 +220,11 @@ class HurricaneEnsemble:
     ) -> float:
         """P(target floods | given floods); NaN if the condition never occurs."""
         model = fragility or ThresholdFragility()
-        given_mask = self._failure_mask(model, self._column(given))
-        given_hits = int(np.count_nonzero(given_mask))
+        both = self._certain_failures([given, target], model)
+        given_hits = int(np.count_nonzero(both[:, 0]))
         if given_hits == 0:
             return math.nan
-        target_mask = self._failure_mask(model, self._column(target))
-        both = int(np.count_nonzero(given_mask & target_mask))
-        return both / given_hits
-
-    def subset(self, count: int) -> "HurricaneEnsemble":
-        """The first ``count`` realizations (for convergence studies)."""
-        if not 1 <= count <= len(self):
-            raise HazardError(f"subset size {count} outside [1, {len(self)}]")
-        return HurricaneEnsemble(
-            scenario_name=self.scenario_name,
-            realizations=self.realizations[:count],
-            seed=self.seed,
-        )
+        return int(np.count_nonzero(both.all(axis=1))) / given_hits
 
 
 @dataclass
@@ -259,6 +252,7 @@ class EnsembleGenerator:
         self._mapper = InundationMapper(
             self.region, self._mesh, self.catalog, self.extension_params
         )
+        self._columns = {name: i for i, name in enumerate(self._mapper.asset_names)}
         from repro.geo.digest import geo_content_key
 
         self._geo_key = geo_content_key(self.catalog, self.region)
@@ -272,8 +266,7 @@ class EnsembleGenerator:
         """Asset names in depth-mapping order (the catalog's order).
 
         Every realization's ``depths_m`` mapping iterates in exactly this
-        order; the run controller's in-place shared-memory transport
-        relies on it to lay depth rows out column-for-column.
+        order, and it is the column order of the ensemble's depth matrix.
         """
         return tuple(self._mapper.asset_names)
 
@@ -359,12 +352,12 @@ class EnsembleGenerator:
 
     def realize(self, index: int, params: StormParameters, rng: np.random.Generator) -> HurricaneRealization:
         """One realization: the one-row case of :meth:`realize_block`."""
-        depths = self.realize_block((index,), (params,), (rng,))[0]
+        depths = self.realize_block((index,), (params,), (rng,))
         return HurricaneRealization(
             index=index,
             params=params,
             inundation=InundationField(
-                depths_m=dict(zip(self._mapper.asset_names, depths.tolist()))
+                depths_m=RowMapping(depths[0], self._columns)
             ),
         )
 
@@ -394,7 +387,7 @@ class EnsembleGenerator:
         resume: bool = False,
         retry: "RetryPolicy | None" = None,
         faults: "FaultPlan | None" = None,
-        transport: str = "auto",
+        transport: str | None = None,
     ) -> HurricaneEnsemble:
         """Generate a full ensemble deterministically from ``seed``.
 
@@ -406,9 +399,8 @@ class EnsembleGenerator:
         :class:`~repro.runtime.controller.RetryPolicy`), and ``faults``
         injects a deterministic
         :class:`~repro.runtime.faults.FaultPlan` for chaos testing.
-        ``transport`` picks how pooled workers return depths: ``"auto"``
-        (in-place shared-memory rows when pooled), ``"inplace"``, or
-        ``"pickle"`` (the historical per-result pickling baseline).
+        ``transport`` is deprecated and has no effect: pooled workers
+        always return their row blocks as arrays.
 
         ``cache_dir`` names an on-disk cache directory: a hit (same
         scenario, surge/extension physics, mesh spacing, seed, and count)
@@ -424,6 +416,12 @@ class EnsembleGenerator:
             raise HazardError("n_jobs must be at least 1")
         if resume and cache_dir is None:
             raise HazardError("resume requires a cache_dir to hold checkpoints")
+        if transport is not None:
+            from repro.errors import RuntimeControlError
+
+            if transport not in ("auto", "inplace", "pickle"):
+                raise RuntimeControlError(f"unknown transport {transport!r}")
+            warn_deprecated("EnsembleGenerator.generate(transport=...)")
         from repro.obs.observer import current as current_observer
 
         obs = current_observer()
@@ -454,6 +452,7 @@ class EnsembleGenerator:
                     count=count,
                     seed=seed,
                     scenario_name=self.scenario.name,
+                    asset_names=self.asset_order,
                 )
             controller = RunController(
                 self,
@@ -463,7 +462,6 @@ class EnsembleGenerator:
                 policy=retry,
                 faults=faults,
                 checkpoint=checkpoint,
-                transport=transport,
             )
             ensemble = controller.run(resume=resume)
             if cache_dir is not None:

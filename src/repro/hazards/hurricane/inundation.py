@@ -15,7 +15,7 @@ Mirrors the paper's treatment of the raw surge output (Section V-A):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -241,9 +241,13 @@ class InundationMapper:
 
 @dataclass(frozen=True)
 class InundationField:
-    """The inundation outcome of one hurricane realization."""
+    """The inundation outcome of one hurricane realization.
 
-    depths_m: dict[str, float]
+    ``depths_m`` is any ``{asset name: depth}`` mapping: a dict when
+    built by hand, a row view of the depth matrix inside an ensemble.
+    """
+
+    depths_m: Mapping[str, float]
 
     def depth_at(self, asset_name: str) -> float:
         try:

@@ -33,58 +33,23 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import SerializationError
-from repro.geo.coords import GeoPoint
 from repro.io.atomic import atomic_path, atomic_write_text, quarantine_file
 from repro.obs.observer import current as current_observer
-from repro.hazards.hurricane.ensemble import (
+from repro.hazards.hurricane.ensemble import (  # noqa: F401 - re-exported
+    PARAM_COLUMNS,
     HurricaneEnsemble,
-    HurricaneRealization,
     HurricaneScenarioSpec,
-    StormParameters,
+    params_from_row,
+    params_to_row,
 )
-from repro.hazards.hurricane.inundation import ExtensionParams, InundationField
+from repro.hazards.hurricane.inundation import ExtensionParams
 from repro.hazards.hurricane.surge import SurgeModelParams
 from repro.io.scenario_io import scenario_to_dict
 
 # Bump when the stored layout changes; old entries then miss cleanly.
 CACHE_FORMAT_VERSION = 1
 
-PARAM_COLUMNS = (
-    "landfall_lat",
-    "landfall_lon",
-    "heading_deg",
-    "central_pressure_mb",
-    "rmw_km",
-    "forward_speed_kmh",
-    "track_offset_km",
-)
 _PARAM_COLUMNS = PARAM_COLUMNS  # backwards-compatible alias
-
-
-def params_to_row(params: StormParameters) -> list[float]:
-    """Flatten storm parameters into the canonical 7-column row."""
-    return [
-        params.landfall.lat,
-        params.landfall.lon,
-        params.heading_deg,
-        params.central_pressure_mb,
-        params.rmw_km,
-        params.forward_speed_kmh,
-        params.track_offset_km,
-    ]
-
-
-def params_from_row(row) -> StormParameters:
-    """Rebuild storm parameters from a canonical 7-column row."""
-    lat, lon, heading, pressure, rmw, speed, offset = row
-    return StormParameters(
-        landfall=GeoPoint(float(lat), float(lon)),
-        heading_deg=float(heading),
-        central_pressure_mb=float(pressure),
-        rmw_km=float(rmw),
-        forward_speed_kmh=float(speed),
-        track_offset_km=float(offset),
-    )
 
 
 def ensemble_cache_key(
@@ -140,8 +105,8 @@ def save_ensemble_cache(
             f"cannot create ensemble cache directory {str(cache_dir)!r}: {exc}"
         ) from exc
     names = ensemble.asset_names
-    depths = ensemble.depth_matrix()
-    params = np.array([params_to_row(r.params) for r in ensemble.realizations])
+    depths = ensemble.depth_view()
+    params = ensemble.param_view()
     with atomic_path(npz_path) as tmp:
         with tmp.open("wb") as handle:
             np.savez_compressed(handle, depths=depths, params=params)
@@ -199,22 +164,9 @@ def load_ensemble_cache(cache_dir: str | Path, key: str) -> HurricaneEnsemble | 
             len(PARAM_COLUMNS),
         ):
             return _quarantine_entry(npz_path, meta_path, "array shape mismatch")
-        realizations = []
-        for i in range(count):
-            realizations.append(
-                HurricaneRealization(
-                    index=i,
-                    params=params_from_row(params[i]),
-                    inundation=InundationField(
-                        depths_m=dict(zip(names, depths[i].tolist()))
-                    ),
-                )
-            )
         obs.inc("cache.ensemble.hit")
         return HurricaneEnsemble(
-            scenario_name=meta["scenario_name"],
-            realizations=tuple(realizations),
-            seed=meta["seed"],
+            meta["scenario_name"], depths, names, meta["seed"], params
         )
     except (KeyError, ValueError, OSError, zipfile.BadZipFile, json.JSONDecodeError) as exc:
         return _quarantine_entry(npz_path, meta_path, f"unreadable entry: {exc}")

@@ -11,25 +11,13 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from repro.errors import SerializationError
-from repro.geo.coords import GeoPoint
-from repro.io.atomic import atomic_path
-from repro.hazards.hurricane.ensemble import (
-    HurricaneEnsemble,
-    HurricaneRealization,
-    StormParameters,
-)
-from repro.hazards.hurricane.inundation import InundationField
+import numpy as np
 
-_PARAM_COLUMNS = [
-    "landfall_lat",
-    "landfall_lon",
-    "heading_deg",
-    "central_pressure_mb",
-    "rmw_km",
-    "forward_speed_kmh",
-    "track_offset_km",
-]
+from repro.errors import SerializationError
+from repro.io.atomic import atomic_path
+from repro.hazards.hurricane.ensemble import PARAM_COLUMNS, HurricaneEnsemble
+
+_PARAM_COLUMNS = list(PARAM_COLUMNS)
 _DEPTH_PREFIX = "depth:"
 
 
@@ -44,21 +32,13 @@ def save_ensemble_csv(ensemble: HurricaneEnsemble, path: str | Path) -> None:
         with tmp.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
-            for r in ensemble:
-                p = r.params
-                row = [
-                    r.index,
-                    ensemble.scenario_name,
-                    ensemble.seed if ensemble.seed is not None else "",
-                    f"{p.landfall.lat:.6f}",
-                    f"{p.landfall.lon:.6f}",
-                    f"{p.heading_deg:.4f}",
-                    f"{p.central_pressure_mb:.4f}",
-                    f"{p.rmw_km:.4f}",
-                    f"{p.forward_speed_kmh:.4f}",
-                    f"{p.track_offset_km:.4f}",
-                ]
-                row += [f"{r.inundation.depths_m[name]:.6f}" for name in asset_names]
+            seed = ensemble.seed if ensemble.seed is not None else ""
+            params = ensemble.param_view().tolist()
+            depths_by_row = ensemble.depth_view().tolist()
+            for index, (p, depths) in enumerate(zip(params, depths_by_row)):
+                row = [index, ensemble.scenario_name, seed]
+                row += [f"{v:.6f}" for v in p[:2]] + [f"{v:.4f}" for v in p[2:]]
+                row += [f"{d:.6f}" for d in depths]
                 writer.writerow(row)
 
 
@@ -84,9 +64,10 @@ def load_ensemble_csv(path: str | Path) -> HurricaneEnsemble:
         if not asset_names:
             raise SerializationError(f"{path} has no asset depth columns")
 
-        realizations = []
+        rows: list[list[float]] = []
         scenario_name = ""
         seed: int | None = None
+        width = len(_PARAM_COLUMNS) + len(asset_names)
         for row in reader:
             if not row:
                 continue
@@ -97,22 +78,17 @@ def load_ensemble_csv(path: str | Path) -> HurricaneEnsemble:
                 values = [float(v) for v in row[3:]]
             except (ValueError, IndexError) as exc:
                 raise SerializationError(f"malformed row in {path}: {row}") from exc
-            params = StormParameters(
-                landfall=GeoPoint(values[0], values[1]),
-                heading_deg=values[2],
-                central_pressure_mb=values[3],
-                rmw_km=values[4],
-                forward_speed_kmh=values[5],
-                track_offset_km=values[6],
-            )
-            depths = dict(zip(asset_names, values[7:]))
-            if len(depths) != len(asset_names):
+            if len(values) < width:
                 raise SerializationError(f"row {index} in {path} is truncated")
-            realizations.append(
-                HurricaneRealization(index, params, InundationField(depths))
-            )
-    if not realizations:
+            rows.append(values[:width])
+    if not rows:
         raise SerializationError(f"{path} contains no realizations")
+    table = np.array(rows)
+    n_params = len(_PARAM_COLUMNS)
     return HurricaneEnsemble(
-        scenario_name=scenario_name, realizations=tuple(realizations), seed=seed
+        scenario_name,
+        np.ascontiguousarray(table[:, n_params:]),
+        asset_names,
+        seed,
+        np.ascontiguousarray(table[:, :n_params]),
     )

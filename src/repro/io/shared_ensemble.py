@@ -15,11 +15,10 @@ reference:
   :func:`repro.io.ensemble_cache.shared_depth_descriptor` yields an
   mmap descriptor for the uncompressed depth sidecar -- no segment to
   manage at all; the OS page cache shares the bytes.
-- :func:`attach_shared_ensemble` turns either descriptor back into an
-  :class:`ArrayBackedEnsemble`, a full ``HazardEnsemble`` whose depth
-  grid *is* the shared buffer (the batched executor reads it in place)
-  and whose per-realization views materialize lazily only if a scalar
-  fallback ever iterates them.
+- :func:`attach_shared_ensemble` turns either descriptor back into a
+  :class:`~repro.hazards.base.MatrixEnsemble` whose depth matrix *is*
+  the shared buffer (the batched executor reads it in place) and whose
+  row views are built only if a scalar fallback ever iterates them.
 
 Lifecycle: the publishing (parent) process owns the segment and must
 ``close()`` + ``unlink()`` it -- the sweep engine does so in a
@@ -35,17 +34,14 @@ under its siblings.
 from __future__ import annotations
 
 import atexit
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from repro.errors import SerializationError
-from repro.hazards.fragility import FragilityModel, ThresholdFragility
+from repro.hazards.base import MatrixEnsemble
 
 __all__ = [
-    "ArrayBackedEnsemble",
-    "DepthRealization",
-    "DepthShardBoard",
     "SharedEnsembleHandle",
     "publish_shared_ensemble",
     "attach_shared_ensemble",
@@ -61,103 +57,9 @@ def shareable_ensemble(ensemble: object) -> bool:
     ensemble (serializing 100k realizations just to throw the bytes
     away cost more than some analyses).
     """
-    names = getattr(ensemble, "asset_names", None)
-    if not names:
-        return False
-    return callable(getattr(ensemble, "depth_view", None)) or callable(
-        getattr(ensemble, "depth_matrix", None)
+    return bool(getattr(ensemble, "asset_names", None)) and callable(
+        getattr(ensemble, "depth_view", None)
     )
-
-
-def _depth_grid(ensemble: object) -> np.ndarray:
-    view = getattr(ensemble, "depth_view", None)
-    if callable(view):
-        return np.asarray(view())
-    return np.asarray(ensemble.depth_matrix())  # type: ignore[attr-defined]
-
-
-class DepthRealization:
-    """One realization view over a shared depth matrix row.
-
-    Satisfies :class:`~repro.hazards.base.HazardRealization`: the scalar
-    executor's fallback path iterates these exactly as it would the
-    original realizations (same float64 depths, so same failed sets).
-    """
-
-    __slots__ = ("index", "depths_m")
-
-    def __init__(self, index: int, depths_m: Mapping[str, float]) -> None:
-        self.index = index
-        self.depths_m = depths_m
-
-    def depth_at(self, asset_name: str) -> float:
-        return self.depths_m[asset_name]
-
-    def failed_assets(
-        self,
-        fragility: FragilityModel | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> frozenset[str]:
-        model = fragility or ThresholdFragility()
-        return model.failed_assets(self.depths_m, rng)
-
-
-class ArrayBackedEnsemble:
-    """A hazard ensemble whose realizations live in one depth matrix.
-
-    The batched executor reads ``depth_view()`` in place (zero copies);
-    the per-realization tuple is materialized lazily, only when a
-    scalar path actually iterates the ensemble.  ``_owner`` pins the
-    shared-memory handle (if any) for the buffer's lifetime.
-    """
-
-    def __init__(
-        self,
-        scenario_name: str,
-        depths: np.ndarray,
-        asset_names: list[str],
-        seed: int | None = None,
-        owner: object | None = None,
-    ) -> None:
-        if depths.ndim != 2 or depths.shape[1] != len(asset_names):
-            raise SerializationError(
-                "depth matrix shape does not match the asset names"
-            )
-        self.scenario_name = scenario_name
-        self.seed = seed
-        self._depths = depths
-        self._asset_names = list(asset_names)
-        self._owner = owner
-        self._realizations: tuple[DepthRealization, ...] | None = None
-
-    @property
-    def asset_names(self) -> list[str]:
-        return list(self._asset_names)
-
-    def depth_view(self) -> np.ndarray:
-        """The backing (R x A) depth matrix; treat as read-only."""
-        return self._depths
-
-    def depth_matrix(self) -> np.ndarray:
-        return np.array(self._depths)
-
-    def __len__(self) -> int:
-        return int(self._depths.shape[0])
-
-    def _materialize(self) -> tuple[DepthRealization, ...]:
-        if self._realizations is None:
-            names = self._asset_names
-            self._realizations = tuple(
-                DepthRealization(index=i, depths_m=dict(zip(names, row.tolist())))
-                for i, row in enumerate(self._depths)
-            )
-        return self._realizations
-
-    def __iter__(self) -> Iterator[DepthRealization]:
-        return iter(self._materialize())
-
-    def __getitem__(self, index: int) -> DepthRealization:
-        return self._materialize()[index]
 
 
 # ----------------------------------------------------------------------
@@ -218,8 +120,7 @@ def publish_shared_ensemble(ensemble: object) -> SharedEnsembleHandle | None:
 
     if not shareable_ensemble(ensemble):
         return None
-    depths = _depth_grid(ensemble)
-    source = np.ascontiguousarray(depths)
+    source = np.ascontiguousarray(ensemble.depth_view())  # type: ignore[attr-defined]
     shm = shared_memory.SharedMemory(create=True, size=max(1, source.nbytes))
     try:
         target = np.ndarray(source.shape, dtype=source.dtype, buffer=shm.buf)
@@ -238,107 +139,6 @@ def publish_shared_ensemble(ensemble: object) -> SharedEnsembleHandle | None:
         shm.unlink()
         raise
     return SharedEnsembleHandle(shm, descriptor)
-
-
-# ----------------------------------------------------------------------
-# In-place generation transport (writable board)
-# ----------------------------------------------------------------------
-class DepthShardBoard:
-    """A parent-owned *writable* (R x A) float64 depth matrix in shared memory.
-
-    :func:`publish_shared_ensemble` ships a finished ensemble's depths to
-    analysis workers read-only; this board is the generation-side mirror
-    of that idea, pointed the other way.  The run controller
-    (:mod:`repro.runtime.controller`) creates one board per pooled
-    generation run; each worker writes its realization's depth row
-    straight into the segment and returns a light index payload instead
-    of round-tripping the per-asset depth mapping through the result
-    pipe's pickler.  Rows are keyed by realization index, every task owns
-    exactly one row, and retries rewrite the same bits (realization
-    ``i``'s rng is re-derived at every submission), so a worker dying
-    mid-write can never corrupt a row that the parent will keep.
-
-    The creating process owns the segment and must ``close()`` +
-    ``unlink()`` it (the owner side registers with the same ``atexit``
-    sweep as published ensembles); workers attach untracked and only ever
-    ``close()``.
-    """
-
-    def __init__(self, shm, view: np.ndarray, asset_names: tuple[str, ...],
-                 handle: "SharedEnsembleHandle | None") -> None:
-        self._shm = shm
-        self.view = view
-        self.asset_names = asset_names
-        self._handle = handle  # owner side only
-
-    @classmethod
-    def create(cls, count: int, asset_names: Sequence[str]) -> "DepthShardBoard":
-        """Allocate a zeroed ``(count, len(asset_names))`` board (owner side)."""
-        from multiprocessing import shared_memory
-
-        names = tuple(str(n) for n in asset_names)
-        if count < 1 or not names:
-            raise SerializationError("depth board needs rows and asset names")
-        nbytes = count * len(names) * np.dtype(np.float64).itemsize
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        try:
-            view = np.ndarray((count, len(names)), dtype=np.float64, buffer=shm.buf)
-            view[...] = 0.0
-            descriptor = {
-                "kind": "shm-board",
-                "name": shm.name,
-                "count": int(count),
-                "asset_names": list(names),
-            }
-            handle = SharedEnsembleHandle(shm, descriptor)
-        except Exception:
-            shm.close()
-            shm.unlink()
-            raise
-        return cls(shm, view, names, handle)
-
-    @property
-    def descriptor(self) -> dict:
-        """The small JSON-able payload workers attach from."""
-        return {
-            "kind": "shm-board",
-            "name": self._shm.name,
-            "count": int(self.view.shape[0]),
-            "asset_names": list(self.asset_names),
-        }
-
-    @classmethod
-    def attach(cls, descriptor: Mapping) -> "DepthShardBoard":
-        """Map an existing board writable, untracked (worker side)."""
-        if descriptor.get("kind") != "shm-board":
-            raise SerializationError(
-                f"not a depth-board descriptor: {descriptor.get('kind')!r}"
-            )
-        names = tuple(str(n) for n in descriptor["asset_names"])
-        shm = _attach_untracked(str(descriptor["name"]))
-        view = np.ndarray(
-            (int(descriptor["count"]), len(names)), dtype=np.float64, buffer=shm.buf
-        )
-        return cls(shm, view, names, handle=None)
-
-    def snapshot(self) -> np.ndarray:
-        """A private copy of the full matrix (safe to outlive the segment)."""
-        return np.array(self.view)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-        elif self._shm is not None:
-            try:
-                self._shm.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        self._shm = None
-
-    def unlink(self) -> None:
-        if self._handle is not None:
-            self._handle.unlink()
-            self._handle = None
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +172,7 @@ def _attach_untracked(name: str):
         resource_tracker.register = real_register
 
 
-def attach_shared_ensemble(descriptor: Mapping) -> ArrayBackedEnsemble:
+def attach_shared_ensemble(descriptor: Mapping) -> MatrixEnsemble:
     """Rebuild an ensemble from a descriptor, without copying the data.
 
     ``kind == "shm"`` maps the published segment; ``kind == "mmap"``
@@ -400,10 +200,10 @@ def attach_shared_ensemble(descriptor: Mapping) -> ArrayBackedEnsemble:
             f"shared ensemble shape {tuple(depths.shape)} does not match "
             f"its descriptor {shape}"
         )
-    return ArrayBackedEnsemble(
-        scenario_name=str(descriptor.get("scenario_name", "shared")),
-        depths=depths,
-        asset_names=names,
-        seed=descriptor.get("seed"),
+    return MatrixEnsemble(
+        str(descriptor.get("scenario_name", "shared")),
+        depths,
+        names,
+        descriptor.get("seed"),
         owner=owner,
     )

@@ -28,14 +28,13 @@ import hashlib
 import json
 import shutil
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import CheckpointCorruptError
-from repro.hazards.hurricane.ensemble import HurricaneRealization
-from repro.hazards.hurricane.inundation import InundationField
+from repro.hazards.hurricane.ensemble import PARAM_COLUMNS
 from repro.io.atomic import atomic_path, atomic_write_text, quarantine_file
-from repro.io.ensemble_cache import PARAM_COLUMNS, params_from_row, params_to_row
 
 CHECKPOINT_FORMAT_VERSION = 1
 DEFAULT_SHARD_SIZE = 32
@@ -54,7 +53,12 @@ _sha256_of = sha256_of  # backwards-compatible alias
 
 
 class CheckpointStore:
-    """Persists per-realization progress for one (key, count, seed) run."""
+    """Persists per-realization progress for one (key, count, seed) run.
+
+    Progress is held as the run's own ``(count x A)`` depth and
+    ``(count x 7)`` parameter rows plus a completed-row mask; shards are
+    slices of them.  ``asset_names`` names the depth columns, in order.
+    """
 
     def __init__(
         self,
@@ -65,6 +69,8 @@ class CheckpointStore:
         scenario_name: str,
         shard_size: int = DEFAULT_SHARD_SIZE,
         flush_interval: int | None = None,
+        *,
+        asset_names: Sequence[str],
     ) -> None:
         if count < 1:
             raise CheckpointCorruptError("checkpointed run needs at least one task")
@@ -79,8 +85,10 @@ class CheckpointStore:
         # How many newly recorded realizations may sit only in memory
         # before partial shards are flushed to disk.
         self.flush_interval = flush_interval or shard_size
-        self._results: dict[int, HurricaneRealization] = {}
-        self._asset_names: list[str] | None = None
+        self._asset_names = list(asset_names)
+        self._depths = np.empty((count, len(self._asset_names)))
+        self._params = np.empty((count, len(PARAM_COLUMNS)))
+        self._done = np.zeros(count, dtype=bool)
         self._dirty_blocks: set[int] = set()
         self._unflushed = 0
 
@@ -101,34 +109,51 @@ class CheckpointStore:
         start = block * self.shard_size
         return range(start, min(start + self.shard_size, self.count))
 
+    def _done_in(self, block: int) -> list[int]:
+        span = self._block_indices(block)
+        done = np.flatnonzero(self._done[span.start : span.stop])
+        return (done + span.start).tolist()
+
     # ------------------------------------------------------------------
     # Recording progress
     # ------------------------------------------------------------------
     def completed_indices(self) -> frozenset[int]:
-        return frozenset(self._results)
+        return frozenset(np.flatnonzero(self._done).tolist())
 
     def is_complete(self) -> bool:
-        return len(self._results) == self.count
+        return bool(self._done.all())
 
-    def results(self) -> dict[int, HurricaneRealization]:
-        return dict(self._results)
+    def rows(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the (depth, parameter) rows of completed ``indices``."""
+        indices = list(indices)
+        if not self._done[indices].all():
+            raise CheckpointCorruptError("asked for rows the run has not completed")
+        return self._depths[indices], self._params[indices]
 
-    def record(self, realization: HurricaneRealization) -> None:
-        """Accept one completed realization; flush shards as blocks fill."""
-        index = realization.index
-        if not 0 <= index < self.count:
-            raise CheckpointCorruptError(
-                f"realization index {index} outside run of {self.count}"
-            )
-        if self._asset_names is None:
-            self._asset_names = list(realization.inundation.depths_m)
-        if index in self._results:
+    def record(
+        self, indices: Sequence[int], depths: np.ndarray, params: np.ndarray
+    ) -> None:
+        """Accept completed rows (``depths``/``params`` line up with
+        ``indices``); flush shards as blocks fill.  Already-recorded
+        indices are ignored."""
+        for index in indices:
+            if not 0 <= index < self.count:
+                raise CheckpointCorruptError(
+                    f"realization index {index} outside run of {self.count}"
+                )
+        fresh = [k for k, index in enumerate(indices) if not self._done[index]]
+        if not fresh:
             return
-        self._results[index] = realization
-        block = self._block_of(index)
-        self._dirty_blocks.add(block)
-        self._unflushed += 1
-        block_done = all(i in self._results for i in self._block_indices(block))
+        rows = [indices[k] for k in fresh]
+        self._depths[rows] = depths[fresh]
+        self._params[rows] = params[fresh]
+        self._done[rows] = True
+        self._unflushed += len(rows)
+        blocks = {self._block_of(index) for index in rows}
+        self._dirty_blocks |= blocks
+        block_done = any(
+            len(self._done_in(b)) == len(self._block_indices(b)) for b in blocks
+        )
         if block_done or self._unflushed >= self.flush_interval:
             self.flush()
 
@@ -144,25 +169,16 @@ class CheckpointStore:
         self._write_manifest()
 
     def _write_shard(self, block: int) -> None:
-        indices = sorted(
-            i for i in self._block_indices(block) if i in self._results
-        )
+        indices = self._done_in(block)
         if not indices:
             return
-        depths = np.array(
-            [
-                [self._results[i].inundation.depths_m[n] for n in self._asset_names]
-                for i in indices
-            ]
-        )
-        params = np.array([params_to_row(self._results[i].params) for i in indices])
         with atomic_path(self.shard_path(block)) as tmp:
             with tmp.open("wb") as handle:
                 np.savez_compressed(
                     handle,
                     indices=np.array(indices, dtype=np.int64),
-                    depths=depths,
-                    params=params,
+                    depths=self._depths[indices],
+                    params=self._params[indices],
                 )
 
     def _write_manifest(self) -> None:
@@ -171,10 +187,9 @@ class CheckpointStore:
             path = self.shard_path(block)
             if not path.exists():
                 continue
-            n = sum(1 for i in self._block_indices(block) if i in self._results)
             shards[str(block)] = {
                 "file": path.name,
-                "rows": n,
+                "rows": len(self._done_in(block)),
                 "sha256": _sha256_of(path),
             }
         manifest = {
@@ -185,7 +200,7 @@ class CheckpointStore:
             "scenario_name": self.scenario_name,
             "shard_size": self.shard_size,
             "asset_names": self._asset_names,
-            "completed": len(self._results),
+            "completed": int(self._done.sum()),
             "shards": shards,
         }
         atomic_write_text(self.manifest_path, json.dumps(manifest, indent=2))
@@ -193,21 +208,21 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # Loading / resuming
     # ------------------------------------------------------------------
-    def load(self, expected_params=None) -> dict[int, HurricaneRealization]:
+    def load(self, expected_params: np.ndarray | None = None) -> list[int]:
         """Recover verified progress from disk into the store.
 
-        ``expected_params`` is the recomputed serial parameter pass (a
-        sequence indexed by realization); any shard whose stored rows do
-        not match it bit-for-bit is quarantined, as are shards with bad
-        checksums, undecodable contents, or out-of-range indices.  The
-        surviving realizations are returned (and retained, so subsequent
-        flushes keep them on disk).
+        ``expected_params`` is the recomputed serial parameter pass as
+        the run's (count x 7) parameter table; any shard whose stored
+        rows do not match it bit-for-bit is quarantined, as are shards
+        with bad checksums, undecodable contents, or out-of-range
+        indices.  Returns the recovered indices in order; their rows are
+        retained (see :meth:`rows`), so later flushes keep them on disk.
         """
-        self._results.clear()
+        self._done[:] = False
         self._dirty_blocks.clear()
         self._unflushed = 0
         if not self.manifest_path.exists():
-            return {}
+            return []
         try:
             manifest = json.loads(self.manifest_path.read_text())
             ok = (
@@ -216,15 +231,14 @@ class CheckpointStore:
                 and manifest["count"] == self.count
                 and manifest["seed"] == self.seed
                 and manifest["shard_size"] == self.shard_size
+                and manifest["asset_names"] == self._asset_names
             )
         except (json.JSONDecodeError, KeyError, TypeError, OSError) as exc:
             quarantine_file(self.manifest_path, f"unreadable manifest: {exc}")
-            return {}
+            return []
         if not ok:
             quarantine_file(self.manifest_path, "manifest does not match this run")
-            return {}
-        names = manifest.get("asset_names")
-        self._asset_names = list(names) if names else None
+            return []
         for block_label, entry in sorted(manifest.get("shards", {}).items()):
             try:
                 block = int(block_label)
@@ -233,7 +247,7 @@ class CheckpointStore:
                 path = self.run_dir / str(entry.get("file", f"shard-{block_label}"))
                 if path.exists():
                     quarantine_file(path, str(exc))
-        return dict(self._results)
+        return np.flatnonzero(self._done).tolist()
 
     def _load_shard(self, block: int, entry: dict, expected_params) -> None:
         path = self.run_dir / entry["file"]
@@ -241,8 +255,6 @@ class CheckpointStore:
             raise CheckpointCorruptError(f"shard file {entry['file']} missing")
         if _sha256_of(path) != entry.get("sha256"):
             raise CheckpointCorruptError("shard checksum mismatch")
-        if self._asset_names is None:
-            raise CheckpointCorruptError("manifest lists shards but no asset names")
         try:
             with np.load(path) as data:
                 indices = data["indices"]
@@ -257,35 +269,32 @@ class CheckpointStore:
         ):
             raise CheckpointCorruptError("shard array shapes inconsistent")
         block_range = self._block_indices(block)
-        for row, raw_index in enumerate(indices):
-            index = int(raw_index)
+        rows = [int(i) for i in indices]
+        for index in rows:
             if index not in block_range:
                 raise CheckpointCorruptError(
                     f"index {index} outside shard block {block}"
                 )
-            stored = params_from_row(params[row])
-            if expected_params is not None and stored != expected_params[index]:
+        if expected_params is not None:
+            diverged = ~(params == expected_params[rows]).all(axis=1)
+            if diverged.any():
+                first = rows[int(np.argmax(diverged))]
                 raise CheckpointCorruptError(
-                    f"stored parameters for realization {index} diverge from "
+                    f"stored parameters for realization {first} diverge from "
                     "the deterministic parameter pass"
                 )
-            self._results[index] = HurricaneRealization(
-                index=index,
-                params=stored,
-                inundation=InundationField(
-                    depths_m=dict(zip(self._asset_names, depths[row].tolist()))
-                ),
-            )
+        self._depths[rows] = depths
+        self._params[rows] = params
+        self._done[rows] = True
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Forget in-memory and on-disk progress (a fresh, non-resumed run)."""
-        self._results.clear()
+        self._done[:] = False
         self._dirty_blocks.clear()
         self._unflushed = 0
-        self._asset_names = None
         if self.run_dir.exists():
             shutil.rmtree(self.run_dir)
 

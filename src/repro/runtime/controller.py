@@ -9,9 +9,8 @@ submit one task per block.  Either way the controller retries retryable
 failures with capped exponential backoff, enforces a per-task timeout on
 hung workers, survives a collapsed pool (``BrokenProcessPool`` after a
 worker is killed), validates every returned row, and streams completed
-realizations into a :class:`~repro.runtime.checkpoint.CheckpointStore`
-so an interrupted run resumes from its shards to a bit-identical
-ensemble.
+rows into a :class:`~repro.runtime.checkpoint.CheckpointStore` so an
+interrupted run resumes from its shards to a bit-identical ensemble.
 
 Failure taxonomy (see :mod:`repro.errors`):
 
@@ -41,15 +40,11 @@ row of a block is bitwise independent of the rows beside it, so retries,
 block boundaries, worker counts, pool rebuilds, and resume all produce
 the same bits.
 
-Transport: inline runs write each block's depth rows straight into the
-run's ``(R x A)`` depth matrix.  Pooled runs default to the *in-place*
-transport -- a parent-owned shared-memory board
-(:class:`~repro.io.shared_ensemble.DepthShardBoard`) that workers write
-their block's rows into directly, returning only a light
-:class:`BlockOutcome` instead of pickling per-asset mappings back
-through the result pipe.  Either way the finished matrix primes the
-ensemble's depth-matrix cache.  ``transport="pickle"`` pins the
-historical per-result pickling baseline.
+Transport: every block comes back as a :class:`BlockOutcome` whose
+``depths`` is the block's ``(B x A)`` array -- computed in process when
+inline, returned through the result pipe when pooled -- and settling
+writes its rows into the run's ``(R x A)`` depth matrix, which becomes
+the ensemble.
 """
 
 from __future__ import annotations
@@ -57,8 +52,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
-from math import isfinite
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -74,17 +68,12 @@ from repro.errors import (
 from repro.hazards.hurricane.ensemble import (
     EnsembleGenerator,
     HurricaneEnsemble,
-    HurricaneRealization,
     StormParameters,
+    params_to_row,
 )
-from repro.hazards.hurricane.inundation import InundationField
-from repro.io.shared_ensemble import DepthShardBoard
 from repro.obs.observer import current as current_observer
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.faults import FaultPlan, InjectedCrash
-
-#: Transport choices for pooled runs: how workers return depths.
-TRANSPORTS = ("auto", "inplace", "pickle")
 
 #: Realizations per unit of work.  The smoothing pass and, when pooled,
 #: the task submit and result transfer are paid once per block; 64 rows
@@ -111,17 +100,14 @@ class BlockOutcome:
 
     ``indices`` are the rows that ran, in block order; a row whose
     scripted fault raised before the block ran is in ``failures``
-    instead.  ``depths`` holds the rows that ran -- ``None`` once a
-    worker has written them onto the in-place board -- and
-    ``realizations`` their per-asset mappings under the pickled
-    transport.  ``timings`` carries the block's hazard sub-layer seconds.
+    instead.  ``depths`` holds the ``(len(indices) x A)`` rows that ran.
+    ``timings`` carries the block's hazard sub-layer seconds.
     """
 
     indices: tuple[int, ...]
     failures: dict[int, BaseException]
     timings: dict[str, float]
-    depths: np.ndarray | None = None
-    realizations: tuple[HurricaneRealization, ...] | None = None
+    depths: np.ndarray
 
 
 def run_block(
@@ -228,16 +214,11 @@ class RunController:
         policy: RetryPolicy | None = None,
         faults: FaultPlan | None = None,
         checkpoint: CheckpointStore | None = None,
-        transport: str = "auto",
     ) -> None:
         if count < 1:
             raise RuntimeControlError("run needs at least one realization")
         if n_jobs < 1:
             raise RuntimeControlError("n_jobs must be at least 1")
-        if transport not in TRANSPORTS:
-            raise RuntimeControlError(
-                f"unknown transport {transport!r}; pick one of {TRANSPORTS}"
-            )
         self.generator = generator
         self.count = count
         self.seed = seed
@@ -245,13 +226,12 @@ class RunController:
         self.policy = policy or RetryPolicy()
         self.faults = faults
         self.checkpoint = checkpoint
-        self.transport = transport
         self._asset_order: tuple[str, ...] = tuple(generator.asset_order)
-        self._expected_assets = frozenset(self._asset_order)
-        # The run's (R x A) depth matrix while it fills: a private array
-        # inline, the shared board's view on the in-place transport, and
-        # None on the pickled transport.
-        self._rows: np.ndarray | None = None
+        # The run's (R x A) depth matrix and (R x 7) parameter table;
+        # settled rows are written in place and the pair becomes the
+        # ensemble.
+        self._rows = np.empty((0, len(self._asset_order)))
+        self._params = np.empty((0, 0))
         self._timings: dict[str, float] = {}
         self.retries_by_index: dict[int, int] = {}
         self.pool_rebuilds = 0
@@ -267,22 +247,26 @@ class RunController:
         with obs.span("ensemble.parameter_pass", count=self.count):
             params = self.generator.sample_all_parameters(self.count, self.seed)
             seqs = np.random.SeedSequence(self.seed).spawn(self.count)
-        results: dict[int, HurricaneRealization] = {}
+        self._params = np.array([params_to_row(p) for p in params])
+        self._rows = np.empty((self.count, len(self._asset_order)))
+        resumed: list[int] = []
         if self.checkpoint is not None:
             if resume:
                 with obs.span("ensemble.checkpoint_load"):
-                    results.update(self.checkpoint.load(expected_params=params))
-                self.resumed_realizations = len(results)
-                if results:
-                    obs.inc("runtime.checkpoint.resumed", len(results))
+                    resumed = self.checkpoint.load(expected_params=self._params)
+                self._rows[resumed] = self.checkpoint.rows(resumed)[0]
+                self.resumed_realizations = len(resumed)
+                if resumed:
+                    obs.inc("runtime.checkpoint.resumed", len(resumed))
                     obs.event(
                         "checkpoint_resume",
-                        realizations=len(results),
+                        realizations=len(resumed),
                         of=self.count,
                     )
             else:
                 self.checkpoint.reset()
-        pending = [i for i in range(self.count) if i not in results]
+        done = set(resumed)
+        pending = [i for i in range(self.count) if i not in done]
         self._timings = {}
         try:
             with obs.span(
@@ -291,12 +275,9 @@ class RunController:
                 n_jobs=self.n_jobs,
             ):
                 if self.n_jobs == 1:
-                    self._rows = self._fill_resumed(
-                        np.empty((self.count, len(self._asset_order))), results
-                    )
-                    self._run_inline(pending, params, seqs, results)
+                    self._run_inline(pending, params, seqs)
                 else:
-                    self._run_pool(pending, params, seqs, results)
+                    self._run_pool(pending, params, seqs)
                 # Hazard sub-layers: one aggregate leaf each, summed over
                 # blocks (worker seconds on pooled runs).
                 for name, seconds in self._timings.items():
@@ -304,48 +285,27 @@ class RunController:
         finally:
             self._flush()
         obs.inc("runtime.realizations_completed", len(pending))
-        ensemble = HurricaneEnsemble(
-            scenario_name=self.generator.scenario.name,
-            realizations=tuple(results[i] for i in range(self.count)),
-            seed=self.seed,
+        return HurricaneEnsemble(
+            self.generator.scenario.name,
+            self._rows,
+            self._asset_order,
+            self.seed,
+            self._params,
         )
-        if self._rows is not None:
-            # The run already holds the full (R x A) depth matrix: prime
-            # the ensemble's lazy cache so the batched executor never
-            # re-walks the per-realization dicts.
-            columns = {name: i for i, name in enumerate(self._asset_order)}
-            object.__setattr__(ensemble, "_depth_cache", (self._rows, columns))
-        return ensemble
-
-    def _fill_resumed(self, rows: np.ndarray, results) -> np.ndarray:
-        """Copy already-settled (checkpoint-resumed) realizations into ``rows``."""
-        for realization in results.values():
-            depths = realization.inundation.depths_m
-            rows[realization.index, :] = np.fromiter(
-                (depths[name] for name in self._asset_order),
-                dtype=np.float64,
-                count=len(self._asset_order),
-            )
-        return rows
 
     def _flush(self) -> None:
         if self.checkpoint is not None:
             self.checkpoint.flush()
 
-    def _record(self, results: dict, realization: HurricaneRealization) -> None:
-        results[realization.index] = realization
-        if self.checkpoint is not None:
-            self.checkpoint.record(realization)
-
     # ------------------------------------------------------------------
     # Settling blocks
     # ------------------------------------------------------------------
-    def _settle(self, block, outcome, params, results) -> list[int]:
+    def _settle(self, block, outcome) -> list[int]:
         """Validate and record one finished block.
 
         Returns the indices to resubmit, each already charged.  A payload
         that does not account for exactly the block's indices is corrupt
-        as a whole; otherwise each faulted or corrupt row charges only
+        as a whole; otherwise each faulted or non-finite row charges only
         its own index.
         """
         if not self._well_formed(block, outcome):
@@ -355,62 +315,25 @@ class RunController:
         retry: list[int] = []
         for index, exc in outcome.failures.items():
             retry += self._fail([index], exc)
-        if outcome.realizations is not None:  # the pickled transport
-            for index, realization in zip(outcome.indices, outcome.realizations):
-                try:
-                    self._record(results, self._validate(index, realization))
-                except CorruptResultError as exc:
-                    retry += self._fail([index], exc)
-            return retry
-        assert self._rows is not None
         ran = list(outcome.indices)
-        if outcome.depths is not None:
-            self._rows[ran] = outcome.depths
-        depths = self._rows[ran]
-        finite = np.isfinite(depths).all(axis=1).tolist()
-        for index, ok, row in zip(ran, finite, depths.tolist()):
+        self._rows[ran] = outcome.depths
+        finite = np.isfinite(outcome.depths).all(axis=1).tolist()
+        good = [index for index, ok in zip(ran, finite) if ok]
+        if good and self.checkpoint is not None:
+            self.checkpoint.record(good, self._rows[good], self._params[good])
+        for index, ok in zip(ran, finite):
             if not ok:
                 retry += self._fail(
                     [index], CorruptResultError(f"task {index} returned non-finite depths")
                 )
-                continue
-            self._record(
-                results,
-                HurricaneRealization(
-                    index=index,
-                    params=params[index],
-                    inundation=InundationField(
-                        depths_m=dict(zip(self._asset_order, row))
-                    ),
-                ),
-            )
         return retry
 
     @staticmethod
     def _well_formed(block, outcome) -> bool:
         """Whether a payload accounts for exactly the block's indices."""
-        if not isinstance(outcome, BlockOutcome):
-            return False
-        if sorted(outcome.indices + tuple(outcome.failures)) != sorted(block):
-            return False
-        realizations = outcome.realizations
-        return realizations is None or len(realizations) == len(outcome.indices)
-
-    def _validate(self, index: int, result) -> HurricaneRealization:
-        if not isinstance(result, HurricaneRealization):
-            raise CorruptResultError(
-                f"task {index} returned {type(result).__name__}, not a realization"
-            )
-        if result.index != index:
-            raise CorruptResultError(
-                f"task {index} returned realization {result.index}"
-            )
-        depths = result.inundation.depths_m
-        if set(depths) != self._expected_assets:
-            raise CorruptResultError(f"task {index} returned a wrong asset set")
-        if not all(isfinite(v) for v in depths.values()):
-            raise CorruptResultError(f"task {index} returned non-finite depths")
-        return result
+        return isinstance(outcome, BlockOutcome) and sorted(
+            outcome.indices + tuple(outcome.failures)
+        ) == sorted(block)
 
     def _observe_block(self, outcome, seconds: float, settled: int) -> None:
         """Fold one block's timings in: sub-layer sums and, per settled
@@ -484,7 +407,7 @@ class RunController:
     # ------------------------------------------------------------------
     # Inline (n_jobs == 1) execution
     # ------------------------------------------------------------------
-    def _run_inline(self, pending, params, seqs, results) -> None:
+    def _run_inline(self, pending, params, seqs) -> None:
         for block in row_blocks(pending):
             while block:
                 started = time.perf_counter()
@@ -499,7 +422,7 @@ class RunController:
                     retry = self._fail(block, exc)
                 else:
                     seconds = time.perf_counter() - started
-                    retry = self._settle(block, outcome, params, results)
+                    retry = self._settle(block, outcome)
                     self._observe_block(outcome, seconds, len(block) - len(retry))
                 if retry:
                     self._backoff(retry)
@@ -508,70 +431,24 @@ class RunController:
     # ------------------------------------------------------------------
     # Pooled execution
     # ------------------------------------------------------------------
-    def _publish_board(self, results) -> "DepthShardBoard | None":
-        """Create the in-place depth board, or ``None`` for pickling.
-
-        Rows already settled before the pool starts (checkpoint-resumed
-        realizations) are copied in by the parent so a completed board
-        always holds the full matrix.  A board that cannot be created
-        (no shared memory on this host) degrades to the pickled
-        transport rather than failing the run.
-        """
-        if self.transport == "pickle":
-            return None
-        try:
-            board = DepthShardBoard.create(self.count, self._asset_order)
-        except (OSError, ValueError) as exc:
-            if self.transport == "inplace":
-                raise RuntimeControlError(
-                    f"in-place transport unavailable: {exc}"
-                ) from exc
-            return None
-        self._fill_resumed(board.view, results)
-        return board
-
-    def _run_pool(self, pending, params, seqs, results) -> None:
+    def _run_pool(self, pending, params, seqs) -> None:
         remaining = set(pending)
-        board = self._publish_board(results)
-        self._rows = board.view if board is not None else None
-        self._obs.event(
-            "generation_transport",
-            transport="inplace" if board is not None else "pickle",
-            n_jobs=self.n_jobs,
-        )
-        initargs = (
-            self.generator,
-            self.faults,
-            board.descriptor if board is not None else None,
-        )
-        try:
-            while remaining:
-                executor = ProcessPoolExecutor(
-                    max_workers=self.n_jobs,
-                    initializer=_init_worker,
-                    initargs=initargs,
-                )
-                try:
-                    rebuild = self._drive_pool(
-                        executor, remaining, params, seqs, results
-                    )
-                finally:
-                    self._terminate_pool(executor)
-                if rebuild:
-                    self.pool_rebuilds += 1
-                    self._obs.inc("runtime.pool_rebuilds")
-                    self._obs.event("pool_rebuild", remaining=len(remaining))
-            if board is not None:
-                # A private copy: the segment is unlinked below.
-                self._rows = board.snapshot()
-        finally:
-            if board is not None:
-                if self._rows is board.view:
-                    self._rows = None
-                board.close()
-                board.unlink()
+        while remaining:
+            executor = ProcessPoolExecutor(
+                max_workers=self.n_jobs,
+                initializer=_init_worker,
+                initargs=(self.generator, self.faults),
+            )
+            try:
+                rebuild = self._drive_pool(executor, remaining, params, seqs)
+            finally:
+                self._terminate_pool(executor)
+            if rebuild:
+                self.pool_rebuilds += 1
+                self._obs.inc("runtime.pool_rebuilds")
+                self._obs.event("pool_rebuild", remaining=len(remaining))
 
-    def _drive_pool(self, executor, remaining, params, seqs, results) -> bool:
+    def _drive_pool(self, executor, remaining, params, seqs) -> bool:
         """Run blocks on one pool; ``True`` means the pool must be rebuilt."""
         futures: dict[Future, tuple[int, ...]] = {}
         # Submit-to-completion latency per future (includes queueing).
@@ -604,7 +481,7 @@ class RunController:
                     retry_now += self._fail(block, exc)
                     continue
                 seconds = time.perf_counter() - started
-                retry = self._settle(block, outcome, params, results)
+                retry = self._settle(block, outcome)
                 self._observe_block(outcome, seconds, len(block) - len(retry))
                 remaining.difference_update(block)
                 remaining.update(retry)
@@ -664,14 +541,17 @@ def terminate_pool(executor: ProcessPoolExecutor) -> None:
     shutdown).  Shared by :class:`RunController` (realization pass) and
     :class:`~repro.runtime.supervisor.StudySupervisor` (study pass).
     """
+    # Snapshot the workers first: shutdown() drops the executor's
+    # reference to them, and a hung worker left running keeps the
+    # executor's manager thread -- and interpreter exit -- waiting on it.
+    processes = list((getattr(executor, "_processes", None) or {}).values())
     executor.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(executor, "_processes", None) or {}
-    for process in list(processes.values()):
+    for process in processes:
         try:
             process.terminate()
         except (OSError, ValueError):  # already gone
             pass
-    for process in list(processes.values()):
+    for process in processes:
         try:
             process.join(timeout=5.0)
         except (OSError, ValueError, AssertionError):
@@ -683,47 +563,17 @@ def terminate_pool(executor: ProcessPoolExecutor) -> None:
 # ----------------------------------------------------------------------
 _WORKER_GENERATOR: EnsembleGenerator | None = None
 _WORKER_FAULTS: FaultPlan | None = None
-_WORKER_BOARD: DepthShardBoard | None = None
 
 
-def _init_worker(
-    generator: EnsembleGenerator,
-    faults: FaultPlan | None,
-    board_descriptor: dict | None = None,
-) -> None:
+def _init_worker(generator: EnsembleGenerator, faults: FaultPlan | None) -> None:
     """Install the (already-built) generator and fault plan in a worker."""
-    global _WORKER_GENERATOR, _WORKER_FAULTS, _WORKER_BOARD
+    global _WORKER_GENERATOR, _WORKER_FAULTS
     _WORKER_GENERATOR = generator
     _WORKER_FAULTS = faults
-    _WORKER_BOARD = (
-        DepthShardBoard.attach(board_descriptor)
-        if board_descriptor is not None
-        else None
-    )
 
 
 def _run_block_task(indices, attempts, params, seqs) -> BlockOutcome:
-    """One pooled block: run it, then hand its rows back.
-
-    On the in-place transport the rows land on the shared board (their
-    width was checked by :func:`run_block`, so a malformed block never
-    reaches it) and only the light outcome crosses the result pipe; on
-    the pickled transport each row travels back as a realization.
-    """
+    """One pooled block; its ``(B x A)`` depths travel back in the outcome."""
     generator = _WORKER_GENERATOR
     assert generator is not None, "worker pool not initialized"
-    outcome = run_block(generator, _WORKER_FAULTS, indices, attempts, params, seqs)
-    if _WORKER_BOARD is not None:
-        _WORKER_BOARD.view[list(outcome.indices)] = outcome.depths
-        return replace(outcome, depths=None)
-    by_index = dict(zip(indices, params))
-    names = generator.asset_order
-    realizations = tuple(
-        HurricaneRealization(
-            index=index,
-            params=by_index[index],
-            inundation=InundationField(depths_m=dict(zip(names, row.tolist()))),
-        )
-        for index, row in zip(outcome.indices, outcome.depths)
-    )
-    return replace(outcome, depths=None, realizations=realizations)
+    return run_block(generator, _WORKER_FAULTS, indices, attempts, params, seqs)

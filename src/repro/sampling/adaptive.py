@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,7 +238,9 @@ def run_adaptive_study(
     retry = RetryPolicy.from_options(config.max_retries, config.task_timeout)
     seeds = _round_seeds(config.seed, plan.max_rounds)
     merged: dict[tuple[str, str], WeightedProfile] = {}
-    realizations: list = []
+    depth_blocks: list[np.ndarray] = []
+    param_blocks: list[np.ndarray] = []
+    total = 0
     weight_blocks: list[np.ndarray] = []
     rounds: list[RoundSummary] = []
     converged = False
@@ -282,11 +284,9 @@ def run_adaptive_study(
                     matrix_r = analysis.run_matrix(
                         architectures, placement, scenarios
                     )
-                offset = len(realizations)
-                realizations.extend(
-                    replace(r, index=offset + i)
-                    for i, r in enumerate(ensemble_r)
-                )
+                depth_blocks.append(ensemble_r.depth_view())
+                param_blocks.append(ensemble_r.param_view())
+                total += len(ensemble_r)
                 weight_blocks.append(np.asarray(weights_r, dtype=float))
                 for s_name in scenario_names:
                     for a_name in architecture_names:
@@ -305,7 +305,7 @@ def run_adaptive_study(
                         index=round_index,
                         seed=round_seed,
                         n_realizations=len(ensemble_r),
-                        total_realizations=len(realizations),
+                        total_realizations=total,
                         p_hat=p_hat,
                         rel_ci_halfwidth=rel,
                         ess=target.effective_sample_size,
@@ -313,13 +313,13 @@ def run_adaptive_study(
                 )
                 obs.inc("sampling.rounds")
                 obs.set_gauge("sampling.p_hat", p_hat)
-                obs.set_gauge("sampling.realizations", len(realizations))
+                obs.set_gauge("sampling.realizations", total)
                 if np.isfinite(rel):
                     obs.set_gauge("sampling.ci_rel_halfwidth", rel)
                 if p_hat > 0.0 and rel <= plan.target_rel_ci:
                     converged = True
                     break
-            if not realizations:
+            if not total:
                 raise ConfigurationError(
                     "adaptive run was cancelled before its first round"
                 )
@@ -330,9 +330,11 @@ def run_adaptive_study(
                         s_name, a_name, merged[(s_name, a_name)]  # type: ignore[arg-type]
                     )
             combined = HurricaneEnsemble(
-                scenario_name=generator.scenario.name,
-                realizations=tuple(realizations),
-                seed=config.seed,
+                generator.scenario.name,
+                np.concatenate(depth_blocks),
+                ensemble_r.asset_names,
+                config.seed,
+                np.concatenate(param_blocks),
             )
             weights_all = np.concatenate(weight_blocks)
     wall_clock_s = time.perf_counter() - start

@@ -274,26 +274,6 @@ class ImpactResult:
         )
 
 
-def _failure_matrix(
-    ensemble, fragility: FragilityModel | None
-) -> np.ndarray:
-    model = fragility if fragility is not None else ThresholdFragility()
-    if isinstance(model, ThresholdFragility):
-        return ensemble.depth_view() > model.threshold_m
-    if not getattr(model, "deterministic", False):
-        raise ConfigurationError(
-            "impact computation needs a deterministic fragility model "
-            "(stochastic failures have no single damage pattern per "
-            "realization)"
-        )
-    depths = ensemble.depth_view()
-    flat = depths.reshape(-1)
-    probs = np.fromiter(
-        (model.failure_probability(float(d)) for d in flat), float, len(flat)
-    )
-    return (probs >= 1.0).reshape(depths.shape)
-
-
 def compute_impacts(
     ensemble,
     *,
@@ -308,7 +288,14 @@ def compute_impacts(
 
     loss_model = loss_model if loss_model is not None else LossModel()
     solver = _GridImpactSolver(grid)
-    failed = _failure_matrix(ensemble, fragility)
+    model = fragility if fragility is not None else ThresholdFragility()
+    if not getattr(model, "deterministic", False):
+        raise ConfigurationError(
+            "impact computation needs a deterministic fragility model "
+            "(stochastic failures have no single damage pattern per "
+            "realization)"
+        )
+    failed = model.failure_matrix(ensemble.depth_view())
     n = failed.shape[0]
     if weights is None:
         weights = np.ones(n)

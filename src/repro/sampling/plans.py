@@ -446,15 +446,9 @@ def sampling_from_options(
 # ----------------------------------------------------------------------
 def ensemble_track_offsets(ensemble) -> np.ndarray:
     """Each realization's stored track offset (km), in index order."""
-    offsets = []
-    for realization in ensemble.realizations:
-        params = getattr(realization, "params", None)
-        offset = getattr(params, "track_offset_km", None)
-        if offset is None:
-            raise ConfigurationError(
-                "sampling plans need realizations with track parameters "
-                "(params.track_offset_km); this ensemble's realizations "
-                f"are {type(realization).__name__}"
-            )
-        offsets.append(float(offset))
-    return np.array(offsets)
+    if "track_offset_km" not in getattr(ensemble, "param_columns", ()):
+        raise ConfigurationError(
+            "sampling plans need an ensemble with a track_offset_km "
+            f"parameter column; {type(ensemble).__name__} has none"
+        )
+    return np.array(ensemble.param_column("track_offset_km"))

@@ -29,7 +29,7 @@ from repro.core.system_state import SiteStatus, SystemState
 from repro.core.threat import PAPER_SCENARIOS, CyberAttackBudget
 from repro.errors import AnalysisError, HazardError
 from repro.hazards.fragility import LogisticFragility, ThresholdFragility
-from repro.io.shared_ensemble import ArrayBackedEnsemble
+from repro.hazards.base import MatrixEnsemble
 from repro.scada.architectures import PAPER_CONFIGURATIONS
 from repro.scada.placement import PLACEMENT_WAIAU
 
@@ -123,7 +123,7 @@ def _tiny_ensemble(n=6, n_assets=4, seed=3):
     rng = np.random.default_rng(seed)
     names = [f"asset-{i}" for i in range(n_assets)]
     depths = rng.uniform(0.0, 1.2, size=(n, n_assets))
-    return ArrayBackedEnsemble(
+    return MatrixEnsemble(
         scenario_name="tiny", depths=depths, asset_names=names, seed=seed
     )
 

@@ -21,7 +21,7 @@ from repro.core.states import STATE_ORDER
 from repro.core.threat import CyberAttackBudget, ThreatScenario
 from repro.geo import build_oahu_catalog
 from repro.hazards.fragility import ThresholdFragility
-from repro.io.shared_ensemble import ArrayBackedEnsemble
+from repro.hazards.base import MatrixEnsemble
 from repro.scada.architectures import PAPER_CONFIGURATIONS
 from repro.scada.placement import PLACEMENT_KAHE, PLACEMENT_WAIAU
 
@@ -30,7 +30,7 @@ PLACEMENTS = {"waiau": PLACEMENT_WAIAU, "kahe": PLACEMENT_KAHE}
 N_REALIZATIONS = 12
 
 
-def _ensemble(depth_seed: int, n_assets: int) -> ArrayBackedEnsemble:
+def _ensemble(depth_seed: int, n_assets: int) -> MatrixEnsemble:
     """A randomized ensemble over a prefix of the real asset catalog.
 
     Shorter prefixes drop placed control sites from the hazard data,
@@ -39,7 +39,7 @@ def _ensemble(depth_seed: int, n_assets: int) -> ArrayBackedEnsemble:
     names = CATALOG_NAMES[:n_assets]
     rng = np.random.default_rng(depth_seed)
     depths = rng.uniform(0.0, 1.4, size=(N_REALIZATIONS, len(names)))
-    return ArrayBackedEnsemble(
+    return MatrixEnsemble(
         scenario_name="property", depths=depths, asset_names=list(names), seed=0
     )
 

@@ -70,7 +70,7 @@ def toy_ensemble() -> HurricaneEnsemble:
     reals = [realization(i, set()) for i in range(8)]
     reals.append(realization(8, {HONOLULU_CC}))
     reals.append(realization(9, {HONOLULU_CC, WAIAU_CC}))
-    return HurricaneEnsemble("toy", tuple(reals))
+    return HurricaneEnsemble.from_realizations("toy", reals)
 
 
 class TestRegistry:

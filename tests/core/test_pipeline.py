@@ -45,7 +45,7 @@ def toy_ensemble() -> HurricaneEnsemble:
     """10 realizations: 9 calm, 1 flooding both control centers."""
     reals = [realization(i, set()) for i in range(9)]
     reals.append(realization(9, {HONOLULU_CC, WAIAU_CC}))
-    return HurricaneEnsemble("toy", tuple(reals))
+    return HurricaneEnsemble.from_realizations("toy", reals)
 
 
 class TestPipelineOnToyEnsemble:
@@ -107,7 +107,7 @@ class TestPipelineOnToyEnsemble:
         from repro.errors import HazardError
 
         with pytest.raises(HazardError):
-            HurricaneEnsemble("empty", ())
+            HurricaneEnsemble.from_realizations("empty", ())
 
 
 class TestProbabilisticPipeline:

@@ -28,7 +28,7 @@ from repro.core.states import STATE_ORDER
 from repro.core.threat import CyberAttackBudget, ThreatScenario
 from repro.geo import build_oahu_catalog
 from repro.hazards.fragility import LogisticFragility
-from repro.io.shared_ensemble import ArrayBackedEnsemble
+from repro.hazards.base import MatrixEnsemble
 from repro.scada.architectures import PAPER_CONFIGURATIONS
 from repro.scada.placement import PLACEMENT_KAHE, PLACEMENT_WAIAU
 
@@ -40,10 +40,10 @@ PLACEMENTS = {"waiau": PLACEMENT_WAIAU, "kahe": PLACEMENT_KAHE}
 CHAINS = ("paper", "grid-coupled", "tail-risk")
 
 
-def _ensemble(depth_seed: int, n_realizations: int) -> ArrayBackedEnsemble:
+def _ensemble(depth_seed: int, n_realizations: int) -> MatrixEnsemble:
     rng = np.random.default_rng(depth_seed)
     depths = rng.uniform(0.0, 1.4, size=(n_realizations, len(CATALOG_NAMES)))
-    return ArrayBackedEnsemble(
+    return MatrixEnsemble(
         scenario_name="rng-contract",
         depths=depths,
         asset_names=list(CATALOG_NAMES),

@@ -109,4 +109,4 @@ class TestEnsembleGridImpact:
         from repro.errors import HazardError
 
         with pytest.raises(HazardError):
-            HurricaneEnsemble("x", ())
+            HurricaneEnsemble.from_realizations("x", ())

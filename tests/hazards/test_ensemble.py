@@ -120,7 +120,7 @@ class TestEnsembleQueries:
             make_realization(2, {"A": 0.9, "B": 0.9}),
             make_realization(3, {"A": 0.0, "B": 0.6}),
         ]
-        return HurricaneEnsemble("test", tuple(reals))
+        return HurricaneEnsemble.from_realizations("test", reals)
 
     def test_flood_probability(self):
         ens = self.small()
@@ -136,8 +136,8 @@ class TestEnsembleQueries:
         assert ens.conditional_flood_probability("A", "B") == 0.5
 
     def test_conditional_nan_when_never(self):
-        ens = HurricaneEnsemble(
-            "t", (make_realization(0, {"A": 0.0, "B": 1.0}),)
+        ens = HurricaneEnsemble.from_realizations(
+            "t", [make_realization(0, {"A": 0.0, "B": 1.0})]
         )
         assert math.isnan(ens.conditional_flood_probability("B", "A"))
 
@@ -160,7 +160,7 @@ class TestEnsembleQueries:
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(HazardError):
-            HurricaneEnsemble("t", ())
+            HurricaneEnsemble.from_realizations("t", ())
 
     def test_iteration_and_indexing(self):
         ens = self.small()

@@ -43,6 +43,7 @@ class TestRegistry:
         assert "repro.geo.oahu" in names
         assert "compound-threats analyze" in names
         assert "repro.core.batch.attack_batch_fallback" in names
+        assert "EnsembleGenerator.generate(transport=...)" in names
 
     def test_message_renders_subject_replacement_and_release(self):
         record = Deprecation("old.thing", "new.thing", "9.0.0")
@@ -81,6 +82,23 @@ class TestDeprecatedSurfaces:
         with pytest.warns(DeprecationWarning, match=record.removal_release):
             result = batch_mod.attack_batch_fallback(None, None, None)
         assert result is sentinel
+
+    def test_generate_transport_warns_and_has_no_effect(self):
+        import numpy as np
+
+        from repro.errors import RuntimeControlError
+        from repro.hazards.hurricane.standard import standard_oahu_generator
+
+        generator = standard_oahu_generator()
+        record = get_deprecation("EnsembleGenerator.generate(transport=...)")
+        plain = generator.generate(count=6, seed=5)
+        with pytest.warns(DeprecationWarning) as caught:
+            legacy = generator.generate(count=6, seed=5, transport="pickle")
+        assert str(caught[0].message) == record.message()
+        assert record.removal_release in str(caught[0].message)
+        assert np.array_equal(legacy.depth_view(), plain.depth_view())
+        with pytest.raises(RuntimeControlError, match="transport"):
+            generator.generate(count=6, seed=5, transport="carrier-pigeon")
 
     def test_analyze_alias_prints_the_registry_message(self):
         record = get_deprecation("compound-threats analyze")

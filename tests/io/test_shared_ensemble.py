@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import SerializationError
+from repro.errors import HazardError, SerializationError
+from repro.hazards.base import MatrixEnsemble
 from repro.hazards.fragility import ThresholdFragility
 from repro.io.ensemble_cache import (
     save_ensemble_cache,
@@ -13,7 +14,6 @@ from repro.io.ensemble_cache import (
     shared_depths_path,
 )
 from repro.io.shared_ensemble import (
-    ArrayBackedEnsemble,
     attach_shared_ensemble,
     publish_shared_ensemble,
     shareable_ensemble,
@@ -23,7 +23,7 @@ from repro.io.shared_ensemble import (
 def _array_ensemble(n=8, n_assets=3, seed=11):
     rng = np.random.default_rng(seed)
     names = [f"asset-{i}" for i in range(n_assets)]
-    return ArrayBackedEnsemble(
+    return MatrixEnsemble(
         scenario_name="transport-test",
         depths=rng.uniform(0.0, 1.2, size=(n, n_assets)),
         asset_names=names,
@@ -32,7 +32,7 @@ def _array_ensemble(n=8, n_assets=3, seed=11):
 
 
 # ----------------------------------------------------------------------
-# ArrayBackedEnsemble as a HazardEnsemble
+# MatrixEnsemble as a HazardEnsemble
 # ----------------------------------------------------------------------
 def test_array_ensemble_realizations_match_matrix():
     ensemble = _array_ensemble()
@@ -54,8 +54,8 @@ def test_array_ensemble_realizations_match_matrix():
 
 
 def test_array_ensemble_shape_mismatch_rejected():
-    with pytest.raises(SerializationError, match="shape"):
-        ArrayBackedEnsemble(
+    with pytest.raises(HazardError, match="shape"):
+        MatrixEnsemble(
             scenario_name="bad",
             depths=np.zeros((4, 3)),
             asset_names=["a", "b"],

@@ -24,162 +24,175 @@ def generator():
 
 
 @pytest.fixture(scope="module")
-def realizations(generator):
-    params = generator.sample_all_parameters(COUNT, SEED)
-    rngs = generator._realization_rngs(COUNT, SEED)
-    return [
-        generator.realize(i, p, rng) for i, (p, rng) in enumerate(zip(params, rngs))
-    ]
+def ensemble(generator):
+    """The generated run whose rows the stores record."""
+    return generator.generate(count=COUNT, seed=SEED)
 
 
 @pytest.fixture(scope="module")
-def expected_params(generator):
-    return generator.sample_all_parameters(COUNT, SEED)
+def realizations():
+    """Every row index, in run order."""
+    return list(range(COUNT))
 
 
-def make_store(tmp_path, **overrides) -> CheckpointStore:
-    defaults = dict(
-        run_dir=tmp_path / "run-abc",
-        key="abc",
-        count=COUNT,
-        seed=SEED,
-        scenario_name="oahu-cat2",
-        shard_size=SHARD,
-    )
-    defaults.update(overrides)
-    return CheckpointStore(**defaults)
+@pytest.fixture(scope="module")
+def expected_params(ensemble):
+    return ensemble.param_view()
+
+
+@pytest.fixture
+def record(ensemble):
+    """Record each index's row of the generated run, one at a time."""
+
+    def record_rows(store: CheckpointStore, indices) -> None:
+        for i in indices:
+            store.record([i], ensemble.depth_view()[[i]], ensemble.param_view()[[i]])
+
+    return record_rows
+
+
+@pytest.fixture
+def make_store(tmp_path, generator):
+    def build(**overrides) -> CheckpointStore:
+        defaults = dict(
+            run_dir=tmp_path / "run-abc",
+            key="abc",
+            count=COUNT,
+            seed=SEED,
+            scenario_name="oahu-cat2",
+            shard_size=SHARD,
+            asset_names=generator.asset_order,
+        )
+        defaults.update(overrides)
+        return CheckpointStore(**defaults)
+
+    return build
 
 
 class TestRoundTrip:
-    def test_full_run_round_trips_bitwise(self, tmp_path, realizations, expected_params):
-        store = make_store(tmp_path)
-        for r in realizations:
-            store.record(r)
+    def test_full_run_round_trips_bitwise(
+        self, make_store, record, realizations, ensemble, expected_params
+    ):
+        store = make_store()
+        record(store, realizations)
         store.flush()
         assert store.is_complete()
 
-        fresh = make_store(tmp_path)
+        fresh = make_store()
         loaded = fresh.load(expected_params=expected_params)
-        assert sorted(loaded) == list(range(COUNT))
-        for r in realizations:
-            got = loaded[r.index]
-            assert got.params == r.params
-            assert got.inundation.depths_m == r.inundation.depths_m
+        assert loaded == list(range(COUNT))
+        depths, params = fresh.rows(loaded)
+        assert np.array_equal(depths, ensemble.depth_view())
+        assert np.array_equal(params, ensemble.param_view())
 
-    def test_partial_progress_survives(self, tmp_path, realizations, expected_params):
-        store = make_store(tmp_path)
+    def test_partial_progress_survives(
+        self, make_store, record, realizations, expected_params
+    ):
+        store = make_store()
         # Complete one full block and a sliver of another, out of order.
-        for r in realizations[:SHARD] + [realizations[SHARD + 2]]:
-            store.record(r)
+        record(store, realizations[:SHARD] + [realizations[SHARD + 2]])
         store.flush()
 
-        loaded = make_store(tmp_path).load(expected_params=expected_params)
-        assert sorted(loaded) == list(range(SHARD)) + [SHARD + 2]
+        loaded = make_store().load(expected_params=expected_params)
+        assert loaded == list(range(SHARD)) + [SHARD + 2]
 
-    def test_no_tmp_siblings_after_flush(self, tmp_path, realizations):
-        store = make_store(tmp_path)
-        for r in realizations:
-            store.record(r)
+    def test_no_tmp_siblings_after_flush(self, make_store, record, realizations):
+        store = make_store()
+        record(store, realizations)
         store.flush()
         leftovers = list(store.run_dir.glob("*.tmp"))
         assert leftovers == []
 
-    def test_duplicate_records_are_idempotent(self, tmp_path, realizations):
-        store = make_store(tmp_path)
-        store.record(realizations[0])
-        store.record(realizations[0])
+    def test_duplicate_records_are_idempotent(self, make_store, record, realizations):
+        store = make_store()
+        record(store, [realizations[0]])
+        record(store, [realizations[0]])
         assert store.completed_indices() == frozenset({0})
 
 
 class TestIntegrity:
-    def _full_store(self, tmp_path, realizations) -> CheckpointStore:
-        store = make_store(tmp_path)
-        for r in realizations:
-            store.record(r)
+    @pytest.fixture
+    def full_store(self, make_store, record, realizations) -> CheckpointStore:
+        store = make_store()
+        record(store, realizations)
         store.flush()
         return store
 
     def test_corrupted_shard_is_quarantined_not_loaded(
-        self, tmp_path, realizations, expected_params
+        self, full_store, make_store, expected_params
     ):
-        store = self._full_store(tmp_path, realizations)
-        victim = store.shard_path(0)
+        victim = full_store.shard_path(0)
         FaultPlan(seed=1).corrupt_file(victim)
 
-        fresh = make_store(tmp_path)
+        fresh = make_store()
         with pytest.warns(CorruptArtifactWarning):
             loaded = fresh.load(expected_params=expected_params)
         # Block 0 lost, quarantined; the others intact.
-        assert sorted(loaded) == list(range(SHARD, COUNT))
+        assert loaded == list(range(SHARD, COUNT))
         assert not victim.exists()
         assert victim.with_name(victim.name + ".corrupt").exists()
 
     def test_truncated_shard_is_quarantined(
-        self, tmp_path, realizations, expected_params
+        self, full_store, make_store, expected_params
     ):
-        store = self._full_store(tmp_path, realizations)
-        FaultPlan().truncate_file(store.shard_path(1), keep_fraction=0.3)
+        FaultPlan().truncate_file(full_store.shard_path(1), keep_fraction=0.3)
         with pytest.warns(CorruptArtifactWarning):
-            loaded = make_store(tmp_path).load(expected_params=expected_params)
-        assert sorted(loaded) == list(range(SHARD)) + list(range(2 * SHARD, COUNT))
+            loaded = make_store().load(expected_params=expected_params)
+        assert loaded == list(range(SHARD)) + list(range(2 * SHARD, COUNT))
 
     def test_mangled_manifest_means_empty_resume(
-        self, tmp_path, realizations, expected_params
+        self, full_store, make_store, expected_params
     ):
-        store = self._full_store(tmp_path, realizations)
-        store.manifest_path.write_text("{ not json")
+        full_store.manifest_path.write_text("{ not json")
         with pytest.warns(CorruptArtifactWarning):
-            loaded = make_store(tmp_path).load(expected_params=expected_params)
-        assert loaded == {}
+            loaded = make_store().load(expected_params=expected_params)
+        assert loaded == []
 
     def test_manifest_for_other_run_is_rejected(
-        self, tmp_path, realizations, expected_params
+        self, full_store, make_store, expected_params
     ):
-        store = self._full_store(tmp_path, realizations)
-        manifest = json.loads(store.manifest_path.read_text())
+        manifest = json.loads(full_store.manifest_path.read_text())
         manifest["seed"] = SEED + 1
-        store.manifest_path.write_text(json.dumps(manifest))
+        full_store.manifest_path.write_text(json.dumps(manifest))
         with pytest.warns(CorruptArtifactWarning):
-            loaded = make_store(tmp_path).load(expected_params=expected_params)
-        assert loaded == {}
+            loaded = make_store().load(expected_params=expected_params)
+        assert loaded == []
 
-    def test_parameter_drift_is_detected(self, tmp_path, realizations, generator):
+    def test_parameter_drift_is_detected(self, full_store, make_store, generator):
         """Stored parameter rows must match the serial pass bit-for-bit."""
-        self._full_store(tmp_path, realizations)
-        drifted = generator.sample_all_parameters(COUNT, SEED + 1)
+        drifted = generator.generate(count=COUNT, seed=SEED + 1).param_view()
         with pytest.warns(CorruptArtifactWarning):
-            loaded = make_store(tmp_path).load(expected_params=drifted)
-        assert loaded == {}
+            loaded = make_store().load(expected_params=drifted)
+        assert loaded == []
 
     def test_missing_shard_file_is_tolerated(
-        self, tmp_path, realizations, expected_params
+        self, full_store, make_store, expected_params
     ):
-        store = self._full_store(tmp_path, realizations)
-        store.shard_path(0).unlink()
-        loaded = make_store(tmp_path).load(expected_params=expected_params)
-        assert sorted(loaded) == list(range(SHARD, COUNT))
+        full_store.shard_path(0).unlink()
+        loaded = make_store().load(expected_params=expected_params)
+        assert loaded == list(range(SHARD, COUNT))
 
 
 class TestLifecycle:
-    def test_reset_wipes_disk_state(self, tmp_path, realizations):
-        store = make_store(tmp_path)
-        for r in realizations:
-            store.record(r)
+    def test_reset_wipes_disk_state(self, make_store, record, realizations):
+        store = make_store()
+        record(store, realizations)
         store.flush()
         store.reset()
         assert not store.run_dir.exists()
-        assert make_store(tmp_path).load() == {}
+        assert make_store().load() == []
 
-    def test_discard_removes_run_dir(self, tmp_path, realizations):
-        store = make_store(tmp_path)
-        store.record(realizations[0])
+    def test_discard_removes_run_dir(self, make_store, record, realizations):
+        store = make_store()
+        record(store, [realizations[0]])
         store.flush()
         store.discard()
         assert not store.run_dir.exists()
 
-    def test_block_completion_flushes_automatically(self, tmp_path, realizations):
-        store = make_store(tmp_path)
-        for r in realizations[:SHARD]:
-            store.record(r)
+    def test_block_completion_flushes_automatically(
+        self, make_store, record, realizations
+    ):
+        store = make_store()
+        record(store, realizations[:SHARD])
         # The completed block hit the disk without an explicit flush().
         assert store.shard_path(0).exists()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from repro.errors import (
     RuntimeControlError,
 )
 from repro.hazards.hurricane.standard import standard_oahu_generator
-from repro.runtime.controller import RetryPolicy, RunController
+from repro.runtime.controller import RetryPolicy, RunController, terminate_pool
 from repro.runtime.faults import FaultPlan
 
 COUNT = 16
@@ -151,3 +154,18 @@ class TestPoolFaults:
         assert np.array_equal(ensemble.depth_matrix(), depths(reference))
         assert controller.pool_rebuilds >= 1
         assert controller.retries_by_index[5] >= 1
+
+    def test_terminate_pool_kills_a_hung_worker(self):
+        """``shutdown()`` drops the executor's worker list, so the workers
+        must be taken first: a hung one left alive would hold interpreter
+        exit until its sleep ends."""
+        executor = ProcessPoolExecutor(max_workers=1)
+        future = executor.submit(time.sleep, 60.0)
+        deadline = time.monotonic() + 30.0
+        while not future.running() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert future.running()
+        (worker,) = executor._processes.values()
+        terminate_pool(executor)
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()

@@ -1,12 +1,13 @@
-"""The in-place shared-memory generation transport.
+"""Pooled generation's single transport: row blocks come back as arrays.
 
-Pooled runs default to workers writing each row block's depths straight
-into a parent-owned :class:`DepthShardBoard` and returning only a light
-:class:`BlockOutcome`.  These tests pin the transport's guarantees:
-bitwise identity with both the pickled baseline and the inline oracle,
-the primed depth-matrix cache, the in-worker shape guard, and
-fault-tolerance parity (a corrupt row is caught by the same validation
-path and overwritten by the retry).
+Pooled workers return each row block's ``(B x A)`` depths in its
+:class:`BlockOutcome`, and the parent writes them into the run's depth
+matrix, which becomes the ensemble; the deprecated ``transport``
+argument of ``generate()`` has no effect.  These tests pin the pooled
+path's guarantees: bitwise identity with the inline run and the per-row
+oracle, an ensemble that holds the run's matrix itself, the in-worker
+shape guard, and fault-tolerance parity (crash, corrupt row, hung block,
+pool rebuild and resume all end in the oracle's bits).
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import CorruptResultError, RuntimeControlError
+from repro.errors import CorruptResultError, RetryExhaustedError, RuntimeControlError
 from repro.hazards.hurricane.standard import standard_oahu_generator
-from repro.io.shared_ensemble import DepthShardBoard
 from repro.runtime import controller as controller_mod
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.controller import BlockOutcome, RetryPolicy, RunController
 from repro.runtime.faults import FaultPlan
 from repro.sampling.generation import PlanSampledGenerator
@@ -48,89 +49,127 @@ def _depths(realizations) -> np.ndarray:
     return np.array([[r.inundation.depths_m[n] for n in names] for r in realizations])
 
 
+def _pooled(generator, **kwargs) -> tuple[RunController, object]:
+    controller = RunController(generator, COUNT, SEED, n_jobs=2, **kwargs)
+    return controller, controller.run()
+
+
 class TestTransportSelection:
     def test_unknown_transport_rejected(self, generator):
         with pytest.raises(RuntimeControlError, match="transport"):
-            RunController(generator, COUNT, SEED, transport="carrier-pigeon")
+            generator.generate(count=COUNT, seed=SEED, transport="carrier-pigeon")
 
     def test_plan_sampled_generator_runs_inplace(self, generator):
-        """Plan-sampled generation keeps the in-place transport: forced, it
-        runs instead of refusing; under ``auto`` it no longer falls back
-        to pickling (which would leave the depth cache lazy)."""
+        """A plan-sampled generator runs pooled through the same path and
+        matches its inline run."""
         sampled = PlanSampledGenerator(generator, resolve_sampling("stratified"))
         assert sampled.asset_order == generator.asset_order
         inline = RunController(sampled, COUNT, SEED, n_jobs=1).run()
-        for transport in ("inplace", "auto"):
-            pooled = RunController(
-                sampled, COUNT, SEED, n_jobs=2, transport=transport
-            ).run()
-            assert hasattr(pooled, "_depth_cache")
-            assert np.array_equal(pooled.depth_matrix(), inline.depth_matrix())
+        pooled = RunController(sampled, COUNT, SEED, n_jobs=2).run()
+        assert np.array_equal(pooled.depth_view(), inline.depth_view())
+        assert np.array_equal(pooled.param_view(), inline.param_view())
 
 
 class TestBitwiseIdentity:
     def test_inplace_pickle_and_inline_agree(self, generator, oracle):
+        """The deprecated transport values only warn: every run is the
+        one pooled path and matches the inline run and the oracle."""
         inline = RunController(generator, COUNT, SEED, n_jobs=1).run()
-        inplace = RunController(
-            generator, COUNT, SEED, n_jobs=3, transport="inplace"
-        ).run()
-        pickled = RunController(
-            generator, COUNT, SEED, n_jobs=3, transport="pickle"
-        ).run()
+        runs = [inline]
+        for transport in ("inplace", "pickle"):
+            with pytest.warns(DeprecationWarning, match="transport"):
+                runs.append(
+                    generator.generate(
+                        count=COUNT, seed=SEED, n_jobs=3, transport=transport
+                    )
+                )
         reference = _depths(oracle)
-        for ensemble in (inline, inplace, pickled):
-            assert np.array_equal(ensemble.depth_matrix(), reference)
-        assert [r.params for r in inplace] == [r.params for r in pickled]
-        assert [r.index for r in inplace] == list(range(COUNT))
+        for ensemble in runs:
+            assert np.array_equal(ensemble.depth_view(), reference)
+            assert [r.params for r in ensemble] == [r.params for r in oracle]
+            assert [r.index for r in ensemble] == list(range(COUNT))
 
     def test_inplace_primes_the_depth_cache(self, generator, oracle):
-        ensemble = RunController(
-            generator, COUNT, SEED, n_jobs=2, transport="inplace"
-        ).run()
-        assert hasattr(ensemble, "_depth_cache")
-        primed, columns = ensemble._depth_cache
-        assert np.array_equal(primed, _depths(oracle))
-        assert list(columns) == list(generator.asset_order)
-        # The cache must be a private copy: the segment is gone by now.
-        assert primed.base is None or primed.flags.owndata
-
-    def test_pickled_transport_stays_lazy(self, generator):
-        ensemble = RunController(
-            generator, COUNT, SEED, n_jobs=2, transport="pickle"
-        ).run()
-        assert not hasattr(ensemble, "_depth_cache")
+        """The pooled ensemble *is* the run's matrix: no cache to prime,
+        no rebuild, and a private array rather than a shared segment."""
+        _, ensemble = _pooled(generator)
+        view = ensemble.depth_view()
+        assert view is ensemble.depth_view()
+        assert np.array_equal(view, _depths(oracle))
+        assert view.flags.owndata
+        assert list(ensemble.asset_names) == list(generator.asset_order)
 
 
 class TestFaultParity:
     def test_corrupt_row_is_caught_and_overwritten(self, generator, oracle):
-        plan = FaultPlan().corrupt(5, times=1)
-        ctl = RunController(
-            generator, COUNT, SEED, n_jobs=2, transport="inplace",
-            policy=RetryPolicy(max_retries=2, **FAST), faults=plan,
+        ctl, ensemble = _pooled(
+            generator,
+            policy=RetryPolicy(max_retries=2, **FAST),
+            faults=FaultPlan().corrupt(5, times=1),
         )
-        ensemble = ctl.run()
-        assert ctl.retries_by_index[5] == 1
-        assert np.array_equal(ensemble.depth_matrix(), _depths(oracle))
-        assert np.isfinite(ensemble._depth_cache[0]).all()
+        assert ctl.retries_by_index == {5: 1}
+        assert np.array_equal(ensemble.depth_view(), _depths(oracle))
+        assert np.isfinite(ensemble.depth_view()).all()
 
-    def test_killed_worker_survives_on_inplace_transport(self, generator, oracle):
-        plan = FaultPlan().kill(3, times=1)
-        ctl = RunController(
-            generator, COUNT, SEED, n_jobs=2, transport="inplace",
-            policy=RetryPolicy(max_retries=3, **FAST), faults=plan,
+    def test_crashed_row_is_retried_alone(self, generator, oracle):
+        ctl, ensemble = _pooled(
+            generator,
+            policy=RetryPolicy(max_retries=2, **FAST),
+            faults=FaultPlan().crash(4, times=2),
         )
-        ensemble = ctl.run()
+        assert ctl.retries_by_index == {4: 2}
+        assert np.array_equal(ensemble.depth_view(), _depths(oracle))
+
+    def test_killed_worker_survives_on_the_pooled_path(self, generator, oracle):
+        ctl, ensemble = _pooled(
+            generator,
+            policy=RetryPolicy(max_retries=3, **FAST),
+            faults=FaultPlan().kill(3, times=1),
+        )
         assert ctl.pool_rebuilds >= 1
-        assert np.array_equal(ensemble.depth_matrix(), _depths(oracle))
+        assert np.array_equal(ensemble.depth_view(), _depths(oracle))
+
+    def test_hung_block_is_charged_and_rerun(self, generator, oracle):
+        ctl, ensemble = _pooled(
+            generator,
+            policy=RetryPolicy(max_retries=1, task_timeout_s=1.0, **FAST),
+            faults=FaultPlan().hang(2, times=1, hang_s=60.0),
+        )
+        # Two workers: blocks 0..5 and 6..11; the hung block's rows pay.
+        assert ctl.retries_by_index == {i: 1 for i in range(6)}
+        assert ctl.pool_rebuilds == 1
+        assert np.array_equal(ensemble.depth_view(), _depths(oracle))
+
+    def test_resume_from_shards_is_bit_identical(self, generator, oracle, tmp_path):
+        names = generator.asset_order
+        key = generator.cache_key(COUNT, SEED)
+
+        def store():
+            return CheckpointStore(
+                tmp_path / "run", key, COUNT, SEED, "oahu", shard_size=4,
+                asset_names=names,
+            )
+
+        # Index 11 never succeeds; its retries' backoff outlasts the
+        # other block, which settles into the shards before the run dies.
+        with pytest.raises(RetryExhaustedError):
+            _pooled(
+                generator,
+                policy=RetryPolicy(max_retries=3, **FAST),
+                faults=FaultPlan().crash(11, times=99),
+                checkpoint=store(),
+            )
+        ctl = RunController(generator, COUNT, SEED, n_jobs=2, checkpoint=store())
+        ensemble = ctl.run(resume=True)
+        assert ctl.resumed_realizations == COUNT - 1
+        assert np.array_equal(ensemble.depth_view(), _depths(oracle))
+        assert [r.params for r in ensemble] == [r.params for r in oracle]
 
 
-def _install_board(monkeypatch, generator):
-    """Stand up the worker globals of a pooled in-place run in-process."""
-    board = DepthShardBoard.create(4, tuple(generator.asset_order))
-    monkeypatch.setattr(controller_mod, "_WORKER_BOARD", board)
+def _install_worker(monkeypatch, generator):
+    """Stand up the worker globals of a pooled run in-process."""
     monkeypatch.setattr(controller_mod, "_WORKER_GENERATOR", generator)
     monkeypatch.setattr(controller_mod, "_WORKER_FAULTS", None)
-    return board
 
 
 def _run_block(generator, indices):
@@ -148,63 +187,35 @@ class TestBlockWrite:
     """The worker-side block shape guard, exercised in-process."""
 
     def test_wrong_width_block_never_lands(self, monkeypatch, generator):
-        board = _install_board(monkeypatch, generator)
+        _install_worker(monkeypatch, generator)
         monkeypatch.setattr(
             generator, "realize_block",
             lambda indices, params, rngs, timings=None: np.ones((len(indices), 2)),
         )
-        try:
-            with pytest.raises(CorruptResultError, match="shaped"):
-                _run_block(generator, (1, 2))
-            assert not board.view.any()  # nothing landed on the board
-        finally:
-            board.close()
-            board.unlink()
+        # The task raises instead of returning rows the parent could write.
+        with pytest.raises(CorruptResultError, match="shaped"):
+            _run_block(generator, (1, 2))
 
 
 class TestShardWrite:
-    """A block task's writes onto the board, exercised in-process."""
+    """What a block task hands back, exercised in-process."""
 
     def test_good_row_lands_and_returns_a_light_shard(
         self, monkeypatch, generator, oracle
     ):
-        board = _install_board(monkeypatch, generator)
-        try:
-            outcome = _run_block(generator, (1,))
-            assert isinstance(outcome, BlockOutcome)
-            assert outcome.indices == (1,) and outcome.failures == {}
-            # The depths travel through the board, not the payload.
-            assert outcome.depths is None and outcome.realizations is None
-            assert np.array_equal(board.view[1], _depths(oracle)[1])
-        finally:
-            board.close()
-            board.unlink()
+        """The payload is the block's own (B x A) rows and nothing else."""
+        _install_worker(monkeypatch, generator)
+        outcome = _run_block(generator, (1,))
+        assert isinstance(outcome, BlockOutcome)
+        assert outcome.indices == (1,) and outcome.failures == {}
+        assert outcome.depths.shape == (1, len(generator.asset_order))
+        assert np.array_equal(outcome.depths[0], _depths(oracle)[1])
 
     def test_foreign_index_passes_through_unwritten(
         self, monkeypatch, generator, oracle
     ):
-        board = _install_board(monkeypatch, generator)
-        try:
-            _run_block(generator, (1, 2))
-            assert np.array_equal(board.view[1:3], _depths(oracle)[1:3])
-            # Rows of indices outside the block are never touched.
-            assert not board.view[0].any() and not board.view[3].any()
-        finally:
-            board.close()
-            board.unlink()
-
-
-class TestBoardRoundTrip:
-    def test_attach_sees_owner_writes_and_vice_versa(self):
-        board = DepthShardBoard.create(3, ("x", "y"))
-        try:
-            attached = DepthShardBoard.attach(board.descriptor)
-            attached.view[2, :] = (1.5, 2.5)
-            assert board.view[2].tolist() == [1.5, 2.5]
-            snap = board.snapshot()
-            attached.view[2, 0] = 9.0
-            assert snap[2, 0] == 1.5  # snapshot is a private copy
-            attached.close()
-        finally:
-            board.close()
-            board.unlink()
+        _install_worker(monkeypatch, generator)
+        outcome = _run_block(generator, (1, 2))
+        # Exactly the block's rows, in block order: no row of another index.
+        assert outcome.indices == (1, 2)
+        assert np.array_equal(outcome.depths, _depths(oracle)[1:3])

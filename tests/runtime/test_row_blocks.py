@@ -2,7 +2,7 @@
 
 Every run here must reproduce, bit for bit, the depth matrix of an
 unsupervised loop of one-row ``realize`` calls -- whatever the block
-boundaries, worker count, transport, retries or resume point -- and
+boundaries, worker count, retries or resume point -- and
 charge retries per realization index: a faulted or corrupt row charges
 only itself, a hung block charges each of its rows.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.hazards.hurricane.ensemble import params_to_row
 from repro.hazards.hurricane.standard import standard_oahu_generator
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.controller import BLOCK_ROWS, RetryPolicy, RunController, row_blocks
@@ -46,8 +47,9 @@ def oracle_depths(generator, oracle):
 def assert_matches(ensemble, oracle, oracle_depths):
     assert np.array_equal(ensemble.depth_matrix(), oracle_depths)
     assert [r.params for r in ensemble] == [r.params for r in oracle]
-    # The run primed the depth cache with exactly the per-row bits.
-    assert np.array_equal(ensemble._depth_cache[0], oracle_depths)
+    # The ensemble holds the run's matrix itself, with exactly the per-row bits.
+    assert np.array_equal(ensemble.depth_view(), oracle_depths)
+    assert ensemble.depth_view() is ensemble.depth_view()
 
 
 class TestRowBlocks:
@@ -71,14 +73,13 @@ class TestBlockCounts:
         assert_matches(ensemble, oracle, oracle_depths)
 
     def test_transports_produce_the_same_bits(self, generator, oracle_depths):
-        inplace = RunController(
-            generator, COUNT, SEED, n_jobs=2, transport="inplace"
-        ).run()
-        pickled = RunController(
-            generator, COUNT, SEED, n_jobs=2, transport="pickle"
-        ).run()
-        assert np.array_equal(inplace.depth_matrix(), oracle_depths)
-        assert np.array_equal(pickled.depth_matrix(), oracle_depths)
+        """The deprecated ``transport`` values warn and change nothing."""
+        for transport in ("auto", "inplace", "pickle"):
+            with pytest.warns(DeprecationWarning, match="2.0.0"):
+                ensemble = generator.generate(
+                    count=COUNT, seed=SEED, n_jobs=2, transport=transport
+                )
+            assert np.array_equal(ensemble.depth_view(), oracle_depths)
 
 
 class TestResumeMidBlock:
@@ -87,13 +88,18 @@ class TestResumeMidBlock:
         self, generator, oracle, oracle_depths, tmp_path, n_jobs
     ):
         key = generator.cache_key(COUNT, SEED)
-        store = CheckpointStore(tmp_path / "run", key, COUNT, SEED, "oahu")
+        names = generator.asset_order
+        store = CheckpointStore(
+            tmp_path / "run", key, COUNT, SEED, "oahu", asset_names=names
+        )
         done = BLOCK_ROWS + 10  # the second block is a third done
-        for realization in oracle[:done]:
-            store.record(realization)
+        params = np.array([params_to_row(r.params) for r in oracle])
+        store.record(range(done), oracle_depths[:done], params[:done])
         store.flush()
 
-        resumed = CheckpointStore(tmp_path / "run", key, COUNT, SEED, "oahu")
+        resumed = CheckpointStore(
+            tmp_path / "run", key, COUNT, SEED, "oahu", asset_names=names
+        )
         controller = RunController(
             generator, COUNT, SEED, n_jobs=n_jobs, checkpoint=resumed
         )

@@ -205,9 +205,9 @@ def test_cached_group_parallel_maps_the_sidecar(tmp_path):
 
 
 def test_unpicklable_but_shareable_ensemble_runs_parallel(small_ensemble):
-    from repro.io.shared_ensemble import ArrayBackedEnsemble
+    from repro.hazards.base import MatrixEnsemble
 
-    class LocalEnsemble(ArrayBackedEnsemble):
+    class LocalEnsemble(MatrixEnsemble):
         """Local class: instances cannot pickle, but the grid can share."""
 
     prebuilt = LocalEnsemble(
