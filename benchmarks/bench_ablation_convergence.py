@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from repro.geo.oahu import HONOLULU_CC
+from repro.geo import HONOLULU_CC
 
 SIZES = [50, 100, 200, 400, 700, 1000]
 

@@ -9,7 +9,7 @@ fall out of the sweep.
 from __future__ import annotations
 
 from repro.core.threat import PAPER_SCENARIOS
-from repro.geo.oahu import HONOLULU_CC, KAHE_CC, WAIAU_CC, build_oahu_catalog
+from repro.geo import HONOLULU_CC, KAHE_CC, WAIAU_CC, build_oahu_catalog
 from repro.scada.architectures import CONFIG_6_6, CONFIG_6_6_6
 from repro.siting.candidates import control_site_candidates
 from repro.siting.objectives import GREEN_OBJECTIVE, OPERATIONAL_OBJECTIVE

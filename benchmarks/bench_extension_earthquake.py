@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.core.pipeline import CompoundThreatAnalysis
 from repro.core.states import OperationalState as S
 from repro.core.threat import PAPER_SCENARIOS
-from repro.geo.oahu import HONOLULU_CC, WAIAU_CC, build_oahu_catalog
+from repro.geo import HONOLULU_CC, WAIAU_CC, build_oahu_catalog
 from repro.hazards.earthquake import (
     EarthquakeGenerator,
     seismic_fragility,

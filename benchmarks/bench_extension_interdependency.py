@@ -8,7 +8,7 @@ coupling adds over the pure-grid analysis.
 
 from __future__ import annotations
 
-from repro.geo.oahu import DRFORTRESS, HONOLULU_CC, KAHE_CC, WAIAU_CC, build_oahu_catalog
+from repro.geo import DRFORTRESS, HONOLULU_CC, KAHE_CC, WAIAU_CC, build_oahu_catalog
 from repro.grid.contingency import simulate_contingency
 from repro.grid.model import build_oahu_grid
 from repro.network.interdependency import InterdependencyAnalysis

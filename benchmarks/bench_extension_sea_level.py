@@ -9,7 +9,7 @@ trajectory of the paper's 9.5%.
 
 from __future__ import annotations
 
-from repro.geo.oahu import HONOLULU_CC, WAIAU_CC, build_oahu_catalog, build_oahu_region
+from repro.geo import HONOLULU_CC, WAIAU_CC, build_oahu_catalog, build_oahu_region
 from repro.hazards.hurricane.ensemble import EnsembleGenerator
 from repro.hazards.hurricane.inundation import ExtensionParams
 from repro.hazards.hurricane.standard import OAHU_SOUTH_SHORE_BASIN, standard_oahu_scenario

@@ -18,10 +18,10 @@ with no supervision or telemetry at all, and the script fails if the overhead ex
 (3% by default).  An enabled-observer run is timed alongside for
 comparison.
 
-It likewise guards the *threat-chain executor*: the analysis loop that
-now dispatches through ``ThreatChain.run_state`` is timed against the
-hardcoded pre-refactor three-step body, failing past
-``--max-chain-overhead`` (3% by default).  Overhead fractions are
+It likewise guards the *threat-chain executor*: a loop of
+``ThreatChain.run`` over the ensemble (the per-realization executor,
+per-stage timing included) is timed against the hardcoded pre-refactor
+three-step body, failing past ``--max-chain-overhead`` (3% by default).  Overhead fractions are
 computed from *paired* interleaved rounds (see
 :func:`measure_observer_overhead`).
 
@@ -123,39 +123,54 @@ def measure_observer_overhead(
     }
 
 
+def oracle_states(chain, ctx, ensemble, seed: int) -> list:
+    """The per-realization executor: ``chain.run`` over the ensemble."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    states = []
+    for realization in ensemble:
+        ctx.realization = realization
+        states.append(chain.run(ctx, rng).state)
+    return states
+
+
 def measure_chain_overhead(ensemble, repeats: int = 5) -> dict:
     """The chain executor's cost relative to the pre-refactor loop.
 
-    ``CompoundThreatAnalysis.run`` now dispatches each realization
-    through the configured :class:`ThreatChain`; the baseline below is
-    the historical hardcoded three-step body (fragility -> attack ->
-    classify) inlined with the same memoized failed-asset lookup, so the
-    delta is purely the executor's dispatch.  Paired interleaved rounds,
-    as in :func:`measure_observer_overhead`.  ``batch=False`` pins the
-    per-realization executor: the batched path is a different algorithm
-    entirely and is measured by :func:`measure_batched_speedup`.
+    The chained side is a loop of ``ThreatChain.run`` over the ensemble,
+    timed per stage exactly as the pipeline's per-realization executor
+    is; the baseline is the historical hardcoded three-step body
+    (fragility -> attack -> classify) inlined.  Both sides call
+    ``realization.failed_assets`` directly, so the delta is purely the
+    executor's dispatch and timing.  Paired interleaved rounds, as in
+    :func:`measure_observer_overhead`.  The batched path is a different
+    algorithm entirely and is measured by :func:`measure_batched_speedup`.
     """
     import numpy as np
 
+    from repro.core.attacker import WorstCaseAttacker
+    from repro.core.chain import CHAIN_PAPER, ChainContext
     from repro.core.evaluator import evaluate
     from repro.core.outcomes import OperationalProfile
-    from repro.core.pipeline import CompoundThreatAnalysis
     from repro.core.system_state import initial_state
     from repro.core.threat import PAPER_SCENARIOS
+    from repro.hazards.fragility import ThresholdFragility
     from repro.scada.architectures import get_architecture
     from repro.scada.placement import PLACEMENT_WAIAU
 
-    analysis = CompoundThreatAnalysis(ensemble, batch=False)
     architecture = get_architecture("6+6+6")
     scenario = PAPER_SCENARIOS[-1]
-    attacker = analysis.attacker
+    fragility = ThresholdFragility()
+    attacker = WorstCaseAttacker()
+    seed = 0
 
     def timed_hardcoded() -> float:
         start = time.perf_counter()
-        rng = np.random.default_rng(analysis._seed)
+        rng = np.random.default_rng(seed)
         states = []
         for realization in ensemble:
-            failed = analysis._failed_assets(realization, rng)
+            failed = realization.failed_assets(fragility, rng)
             state = initial_state(architecture, PLACEMENT_WAIAU, failed)
             state = attacker.attack(state, scenario.budget, rng)
             states.append(evaluate(state))
@@ -164,11 +179,20 @@ def measure_chain_overhead(ensemble, repeats: int = 5) -> dict:
 
     def timed_chained() -> float:
         start = time.perf_counter()
-        analysis.run(architecture, PLACEMENT_WAIAU, scenario)
+        ctx = ChainContext(
+            architecture,
+            PLACEMENT_WAIAU,
+            scenario,
+            fragility=fragility,
+            attacker=attacker,
+        )
+        OperationalProfile.from_states(
+            oracle_states(CHAIN_PAPER, ctx, ensemble, seed)
+        )
         return time.perf_counter() - start
 
     variants = (timed_hardcoded, timed_chained)
-    for fn in variants:  # warm-up (also fills the failed-asset memo)
+    for fn in variants:  # warm-up: touch every code path once, untimed
         fn()
     rounds = [tuple(fn() for fn in variants) for _ in range(repeats)]
     fracs = [c / h - 1.0 for h, c in rounds]
@@ -180,6 +204,24 @@ def measure_chain_overhead(ensemble, repeats: int = 5) -> dict:
         "chained_seconds": round(min(c for _, c in rounds), 4),
         "chain_overhead_frac": round(min(fracs), 4),
     }
+
+
+def oracle_matrix(ensemble, architectures, placement, scenarios):
+    """The paper matrix through the per-realization executor."""
+    from repro.core.chain import CHAIN_PAPER, ChainContext
+    from repro.core.outcomes import OperationalProfile, ScenarioMatrix
+
+    matrix = ScenarioMatrix(placement_label=placement.label())
+    for scenario in scenarios:
+        for architecture in architectures:
+            ctx = ChainContext(architecture, placement, scenario)
+            states = oracle_states(CHAIN_PAPER, ctx, ensemble, seed=0)
+            matrix.add(
+                scenario.name,
+                architecture.name,
+                OperationalProfile.from_states(states),
+            )
+    return matrix
 
 
 def measure_batched_speedup(ensemble, repeats: int = 3) -> dict:
@@ -196,22 +238,21 @@ def measure_batched_speedup(ensemble, repeats: int = 3) -> dict:
     from repro.scada.architectures import PAPER_CONFIGURATIONS
     from repro.scada.placement import PLACEMENT_WAIAU
 
-    oracle = CompoundThreatAnalysis(ensemble, batch=False)
-    batched = CompoundThreatAnalysis(ensemble, batch=True)
+    batched = CompoundThreatAnalysis(ensemble)
     args = (list(PAPER_CONFIGURATIONS), PLACEMENT_WAIAU, list(PAPER_SCENARIOS))
 
-    oracle_matrix = batched_matrix = None
+    oracle = batched_matrix = None
     oracle_s = batched_s = math.inf
     for _ in range(repeats):
         start = time.perf_counter()
-        oracle_matrix = oracle.run_matrix(*args)
+        oracle = oracle_matrix(ensemble, *args)
         oracle_s = min(oracle_s, time.perf_counter() - start)
         start = time.perf_counter()
         batched_matrix = batched.run_matrix(*args)
         batched_s = min(batched_s, time.perf_counter() - start)
 
     identical = all(
-        oracle_matrix.get(s.name, a.name) == batched_matrix.get(s.name, a.name)
+        oracle.get(s.name, a.name) == batched_matrix.get(s.name, a.name)
         for s in PAPER_SCENARIOS
         for a in PAPER_CONFIGURATIONS
     )

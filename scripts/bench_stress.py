@@ -8,12 +8,12 @@ Proves the batched executor's headline claim end to end, at scale:
    realization count.  The mesh spacing changes *which* depths come out,
    never the executor contract, so the oracle comparison is unaffected.
 2. **Time** the paper's full (scenario x architecture) matrix through
-   both executors -- the per-realization loop (``batch=False``, the PR-5
-   baseline) and the fused batched kernels -- and fail unless the
+   both executors -- a per-realization loop of ``ThreatChain.run`` (the
+   oracle) and the fused batched kernels -- and fail unless the
    speedup clears ``--min-speedup`` (10x by default).  A second
    *stochastic* lane repeats the measurement with ``LogisticFragility``
    and the randomized ``ProbabilisticAttacker`` -- the chains that only
-   batch under PR 10's RNG-draw contract -- gated by the same floor.
+   batch under the RNG-draw contract -- gated by the same floor.
 3. **Verify** profile-level bitwise identity cell by cell at the stress
    count (both lanes), and re-check the paper's golden split (93/1000
    RED for ``hurricane+intrusion`` on ``2-2``) at the standard
@@ -36,7 +36,11 @@ import platform
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.api import StudyConfig, run_study
+from repro.core.chain import CHAIN_PAPER, ChainContext
+from repro.core.outcomes import OperationalProfile, ScenarioMatrix
 from repro.core.pipeline import CompoundThreatAnalysis
 from repro.core.states import OperationalState
 from repro.core.threat import PAPER_SCENARIOS
@@ -61,12 +65,42 @@ def coarse_generator(mesh_spacing_km: float):
     return dataclasses.replace(base, mesh_spacing_km=mesh_spacing_km)
 
 
-def measure_matrix(ensemble, batch: bool, **kwargs) -> tuple[float, object]:
-    analysis = CompoundThreatAnalysis(ensemble, batch=batch, **kwargs)
+def measure_batched(ensemble, **kwargs) -> tuple[float, object]:
+    """The paper matrix through ``CompoundThreatAnalysis`` (batched)."""
+    analysis = CompoundThreatAnalysis(ensemble, **kwargs)
     start = time.perf_counter()
     matrix = analysis.run_matrix(
         list(PAPER_CONFIGURATIONS), PLACEMENT_WAIAU, list(PAPER_SCENARIOS)
     )
+    return time.perf_counter() - start, matrix
+
+
+def measure_oracle(
+    ensemble, fragility=None, attacker=None, seed: int = 0
+) -> tuple[float, object]:
+    """The paper matrix as a loop of ``ThreatChain.run`` per cell, with a
+    fresh ``default_rng(seed)`` per cell (the per-realization executor)."""
+    start = time.perf_counter()
+    matrix = ScenarioMatrix(placement_label=PLACEMENT_WAIAU.label())
+    for scenario in PAPER_SCENARIOS:
+        for architecture in PAPER_CONFIGURATIONS:
+            ctx = ChainContext(
+                architecture,
+                PLACEMENT_WAIAU,
+                scenario,
+                fragility=fragility,
+                attacker=attacker,
+            )
+            rng = np.random.default_rng(seed)
+            states = []
+            for realization in ensemble:
+                ctx.realization = realization
+                states.append(CHAIN_PAPER.run(ctx, rng).state)
+            matrix.add(
+                scenario.name,
+                architecture.name,
+                OperationalProfile.from_states(states),
+            )
     return time.perf_counter() - start, matrix
 
 
@@ -143,10 +177,10 @@ def main(argv: list[str] | None = None) -> int:
 
     cells = len(PAPER_SCENARIOS) * len(PAPER_CONFIGURATIONS)
     print(f"running the {cells}-cell matrix, per-realization executor ...")
-    oracle_s, oracle_matrix = measure_matrix(ensemble, batch=False)
+    oracle_s, oracle_matrix = measure_oracle(ensemble)
     print(f"per-realization: {oracle_s:.1f}s")
     print(f"running the {cells}-cell matrix, batched executor ...")
-    batched_s, batched_matrix = measure_matrix(ensemble, batch=True)
+    batched_s, batched_matrix = measure_batched(ensemble)
     print(f"batched: {batched_s:.3f}s")
 
     identical = all(
@@ -162,13 +196,13 @@ def main(argv: list[str] | None = None) -> int:
     speedup = oracle_s / batched_s
 
     print(f"running the {cells}-cell stochastic matrix, per-realization ...")
-    st_oracle_s, st_oracle_matrix = measure_matrix(
-        ensemble, batch=False, **stochastic_kwargs()
+    st_oracle_s, st_oracle_matrix = measure_oracle(
+        ensemble, **stochastic_kwargs()
     )
     print(f"per-realization (stochastic): {st_oracle_s:.1f}s")
     print(f"running the {cells}-cell stochastic matrix, batched ...")
-    st_batched_s, st_batched_matrix = measure_matrix(
-        ensemble, batch=True, **stochastic_kwargs()
+    st_batched_s, st_batched_matrix = measure_batched(
+        ensemble, **stochastic_kwargs()
     )
     print(f"batched (stochastic): {st_batched_s:.3f}s")
     st_identical = all(

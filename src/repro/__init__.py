@@ -121,7 +121,7 @@ from repro.scada import (
     get_architecture,
 )
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",

@@ -123,12 +123,6 @@ class StudyConfig:
     # plan reshapes the track-offset draw and aggregates under unbiased
     # importance weights (see docs/tail_risk.md).
     sampling: "SamplingPlan | str | dict | None" = None
-    # Executor selection (never changes the numbers): None auto-selects
-    # the fused batched executor when the whole chain supports it, False
-    # forces the per-realization loop, True requires batching (raises
-    # when unavailable).  Excluded from study_config_hash -- both
-    # executors are bitwise identical.
-    batch: bool | None = None
     # How the ensemble arrives (never changes its bits).
     jobs: int = 1
     cache_dir: str | None = None
@@ -179,7 +173,6 @@ class StudyConfig:
             self._validate_catalog_names,
             self.resolve_chain,
             self._validate_sampling,
-            self._validate_batch,
         ):
             try:
                 check()
@@ -254,59 +247,6 @@ class StudyConfig:
             base = plan.resolved_base()
             if isinstance(base, StratifiedPlan):
                 base.allocate(plan.round_size)
-
-    def _validate_batch(self) -> None:
-        """Construction-time preflight for ``batch=True``.
-
-        The full capability verdict is per-context
-        (:meth:`~repro.core.chain.ThreatChain.batch_plan` needs the
-        ensemble's depth grid), but the *model-level* obstacles are
-        knowable now: a stochastic fragility model that disclaims the
-        RNG-draw batch-sampling contract, or a stochastic attacker
-        without a batched kernel, can never batch.  Requiring the
-        batched executor with one configured should fail here, not
-        minutes into a run.
-        """
-        if self.batch is not True:
-            return
-        try:
-            chain = self.resolve_chain()
-        except ConfigurationError:
-            return  # resolve_chain's own check already reported it
-        problems: list[str] = []
-        for stage in chain.stages:
-            model = getattr(stage, "fragility", None)
-            if model is None and getattr(stage, "captures", None) == "post_disaster":
-                model = self.resolve_fragility()
-            if (
-                model is not None
-                and not getattr(model, "deterministic", False)
-                and not getattr(model, "batch_sampling", False)
-            ):
-                problems.append(
-                    f"fragility model {type(model).__name__} does not "
-                    "declare the RNG-draw batch-sampling contract"
-                )
-            attacker = getattr(stage, "attacker", None)
-            if attacker is None and type(stage).__name__ == "CyberAttackStage":
-                attacker = self.attacker
-            if (
-                attacker is not None
-                and not getattr(attacker, "deterministic", False)
-                and not (
-                    callable(getattr(attacker, "attack_batch", None))
-                    and callable(getattr(attacker, "batch_draws", None))
-                )
-            ):
-                label = getattr(attacker, "name", type(attacker).__name__)
-                problems.append(
-                    f"attacker {label!r} is stochastic without an "
-                    "RNG-draw batched kernel (attack_batch + batch_draws)"
-                )
-        if problems:
-            raise ConfigurationError(
-                "batch=True cannot be honored: " + "; ".join(sorted(set(problems)))
-            )
 
     # ------------------------------------------------------------------
     # Scenario-catalog resolution (region/hazard names -> objects)
@@ -679,7 +619,6 @@ def run_study(
                 attacker=config.attacker,
                 seed=config.analysis_seed,
                 chain=chain,
-                batch=config.batch,
                 weights=weights,
             )
             matrix = analysis.run_matrix(architectures, placement, scenarios)

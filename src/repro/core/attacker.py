@@ -360,9 +360,7 @@ class ExhaustiveAttacker:
         """Exhaustive enumeration once per distinct pre-attack pattern.
 
         Native batched kernel under the unified ``attack_batch``
-        signature; replaces routing through the deprecated
-        ``repro.core.batch.attack_batch_fallback``.  ``draws`` is
-        ignored (deterministic attacker).
+        signature.  ``draws`` is ignored (deterministic attacker).
         """
         del draws  # deterministic attacker
         return _replay_rows(self, architecture, flooded, isolated, intrusions, budget)

@@ -1,6 +1,6 @@
 """Fused batched execution of the threat chain (the hot-path kernels).
 
-The per-realization executor (:meth:`~repro.core.chain.ThreatChain.run_state`)
+The per-realization executor (:meth:`~repro.core.chain.ThreatChain.run`)
 makes one Python pass per realization; this module holds the structures
 the *batched* executor uses to evaluate the whole (realization x asset)
 grid in a handful of numpy passes: fragility thresholds as one matrix
@@ -11,7 +11,7 @@ Table I as a vectorized rule table
 (:func:`~repro.core.evaluator.evaluate_batch`).
 
 Correctness contract: the batched path must be **bitwise identical** to
-looping ``run_state`` over the ensemble.  Everything here is a straight
+looping ``run`` over the ensemble.  Everything here is a straight
 vectorization of the scalar code in :mod:`repro.core.evaluator`,
 :mod:`repro.core.attacker`, and :mod:`repro.core.chain` -- never a
 re-derivation -- and ``tests/core/test_batch_properties.py`` compares
@@ -29,7 +29,7 @@ per-realization draws, and each stage reads its column block.  Stages
 declare their capability (and per-realization draw count) through
 :class:`BatchSupport`; :meth:`~repro.core.chain.ThreatChain.batch_plan`
 folds the declarations into a :class:`ChainBatchPlan` the executor and
-``run_batch`` auto-selection consult.  A stage whose model cannot
+the pipeline's executor selection consult.  A stage whose model cannot
 honor the contract declines with a reason, and the analysis falls back
 to the per-realization executor (counter ``batch.fallback``).
 """
@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro._deprecation import warn_deprecated
 from repro.core.evaluator import evaluate_batch
 from repro.core.system_state import SiteStatus, SystemState
 from repro.core.threat import ThreatScenario
@@ -60,7 +59,6 @@ __all__ = [
     "ChainBatch",
     "BatchContext",
     "model_token",
-    "attack_batch_fallback",
     "classify_batch",
 ]
 
@@ -69,10 +67,9 @@ __all__ = [
 class BatchSupport:
     """One stage's batch-capability declaration for a specific context.
 
-    The richer successor of the bare ``supports_batch`` boolean:
     ``ok`` says whether the stage can run the fused pass, ``reason``
     names the obstacle when it cannot (surfaced through the
-    ``batch.fallback`` counter and ``batch=True`` errors), and
+    ``batch.fallback`` counter and event), and
     ``draws`` declares how many uniform rng doubles one *scalar*
     application of the stage consumes per realization -- the stage's
     stride in the RNG-draw contract (0 for deterministic stages).
@@ -181,8 +178,9 @@ class BatchContext:
     the ensemble's full ``(n_realizations, n_assets)`` depth matrix
     instead of one realization.  ``matrix_cache`` is an externally owned
     memo (model token -> failure matrix) the pipeline shares across
-    cells, so an ensemble pays one fragility pass per distinct model --
-    the batched counterpart of the per-realization failed-asset memo.
+    cells, so an ensemble pays one fragility pass per distinct model.
+    ``stage_seconds`` accumulates each stage's wall-clock by name across
+    :meth:`~repro.core.chain.ThreatChain.run_batch` calls.
     """
 
     __slots__ = (
@@ -195,6 +193,7 @@ class BatchContext:
         "depths",
         "site_names",
         "draws",
+        "stage_seconds",
         "_site_columns",
         "_matrix_cache",
     )
@@ -229,6 +228,7 @@ class BatchContext:
         #: before each ``apply_batch`` call -- the batched analogue of
         #: handing the shared generator down the scalar chain.
         self.draws: np.ndarray | None = None
+        self.stage_seconds: dict[str, float] = {}
 
     @property
     def n_realizations(self) -> int:
@@ -317,22 +317,6 @@ class BatchContext:
             )
         )
         return SystemState(self.architecture, sites)
-
-
-def attack_batch_fallback(
-    attacker: "Attacker", ctx: BatchContext, batch: ChainBatch
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deprecated alias for the per-pattern deterministic-attacker replay.
-
-    The library's own attackers all carry a native ``attack_batch``
-    under the unified RNG-draw signature now (the exhaustive oracle's
-    is this same per-pattern replay); custom deterministic attackers
-    without one are still replayed automatically by
-    :class:`~repro.core.chain.CyberAttackStage`.  Calling this public
-    shim warns; it is removed in 2.0.0.
-    """
-    warn_deprecated("repro.core.batch.attack_batch_fallback")
-    return _replay_attack_batch(attacker, ctx, batch)
 
 
 def _replay_attack_batch(

@@ -31,8 +31,8 @@ overhead against the hardcoded loop (<3%).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class Attacker(Protocol):
         ...  # pragma: no cover - protocol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealizationOutcome:
     """Full trace of one realization through the pipeline."""
 
@@ -95,13 +95,12 @@ class ChainContext:
     slots), so the hot loop allocates nothing but the states themselves.
 
     ``fragility`` and ``attacker`` are the *analysis-level* models; stages
-    constructed without their own model inherit these.  ``failed_lookup``
-    is the (possibly memoized) failed-asset function -- the pipeline binds
-    its :meth:`~repro.core.pipeline.CompoundThreatAnalysis._failed_assets`
-    memo here so chains share the fragility pass exactly as the hardcoded
-    loop did.  ``extras`` is a scratch mapping stages use to hand data
-    downstream (e.g. the hazard stage publishes ``"failed_assets"``; the
-    interdependency stage publishes its coupling summary).
+    constructed without their own model inherit these.  ``extras`` is a
+    scratch mapping stages use to hand data downstream (e.g. the hazard
+    stage publishes ``"failed_assets"``; the interdependency stage
+    publishes its coupling summary).  ``stage_seconds`` accumulates each
+    stage's wall-clock by name across every :meth:`ThreatChain.run` on
+    this context.
     """
 
     __slots__ = (
@@ -111,9 +110,9 @@ class ChainContext:
         "realization",
         "fragility",
         "attacker",
-        "failed_lookup",
         "classified",
         "extras",
+        "stage_seconds",
     )
 
     def __init__(
@@ -125,10 +124,6 @@ class ChainContext:
         *,
         fragility: FragilityModel | None = None,
         attacker: Attacker | None = None,
-        failed_lookup: Callable[
-            [HazardRealization, np.random.Generator | None], frozenset[str]
-        ]
-        | None = None,
     ) -> None:
         self.architecture = architecture
         self.placement = placement
@@ -136,22 +131,15 @@ class ChainContext:
         self.realization = realization
         self.fragility = fragility if fragility is not None else ThresholdFragility()
         self.attacker = attacker if attacker is not None else WorstCaseAttacker()
-        self.failed_lookup = (
-            failed_lookup if failed_lookup is not None else self._direct_lookup
-        )
         self.classified: OperationalState | None = None
         self.extras: dict[str, object] = {}
-
-    def _direct_lookup(
-        self, realization: HazardRealization, rng: np.random.Generator | None
-    ) -> frozenset[str]:
-        return realization.failed_assets(self.fragility, rng)
+        self.stage_seconds: dict[str, float] = {}
 
     def failed_assets(self, rng: np.random.Generator | None) -> frozenset[str]:
-        """The current realization's failed assets (memoized when bound)."""
+        """The current realization's failed assets under ``fragility``."""
         if self.realization is None:
             raise ConfigurationError("chain context has no realization")
-        return self.failed_lookup(self.realization, rng)
+        return self.realization.failed_assets(self.fragility, rng)
 
     def base_state(self) -> SystemState:
         """The deployed architecture untouched by any hazard."""
@@ -163,10 +151,10 @@ class Stage(Protocol):
     """One transform of the threat chain.
 
     ``deterministic`` declares whether ``apply`` is a pure function of
-    ``(state, ctx.realization)`` -- i.e. never consumes the rng.  The
-    sweep engine only shares fragility memos across studies when the
-    chain's hazard prefix is deterministic, so a stochastic stage must
-    not claim determinism.
+    ``(state, ctx.realization)`` -- i.e. never consumes the rng.  It is
+    recorded per stage in :meth:`ThreatChain.spec`, which enters the run
+    manifest and :func:`~repro.api.study_config_hash`, so a stochastic
+    stage must not claim determinism.
     """
 
     name: str
@@ -192,25 +180,22 @@ class BatchedStage(Stage, Protocol):
     a :class:`~repro.core.batch.ChainBatch` (``None`` meaning "no stage
     has run yet", exactly like ``apply``'s ``None`` state) under a
     :class:`~repro.core.batch.BatchContext` and must be bitwise-faithful
-    to applying the scalar stage per realization.  ``supports_batch``
-    reports whether that is possible for a *specific* context.
+    to applying the scalar stage per realization.
 
-    A stage wrapping a *stochastic* model batches under the RNG-draw
-    contract: it additionally implements ``batch_support(ctx,
-    upstream_failed=...) -> BatchSupport`` declaring how many uniform
-    draws one scalar application consumes per realization, and its
-    ``apply_batch`` reads the executor-provided ``ctx.draws`` column
-    block instead of the rng.  :meth:`ThreatChain.batch_plan` folds the
-    declarations into a :class:`~repro.core.batch.ChainBatchPlan`;
-    ``upstream_failed`` tells the stage whether a failed-grid-producing
-    stage precedes it in the chain.  Stages without ``batch_support``
-    are consulted through the boolean ``supports_batch`` and declared
-    draw-free; custom stages without any batch methods simply keep the
-    per-realization executor.
+    A stage declares whether it can batch under a *specific* context,
+    and how, through the optional ``batch_support(ctx,
+    upstream_failed=...) -> BatchSupport``: it may decline with a
+    reason, and a stage wrapping a *stochastic* model declares how many
+    uniform draws one scalar application consumes per realization (the
+    RNG-draw contract), then reads the executor-provided ``ctx.draws``
+    column block in ``apply_batch`` instead of the rng.
+    :meth:`ThreatChain.batch_plan` folds the declarations into a
+    :class:`~repro.core.batch.ChainBatchPlan`; ``upstream_failed`` tells
+    the stage whether a failed-grid-producing stage precedes it in the
+    chain.  A stage with ``apply_batch`` and no ``batch_support`` is
+    draw-free and always batches; custom stages without ``apply_batch``
+    keep the per-realization executor.
     """
-
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        ...  # pragma: no cover - protocol
 
     def apply_batch(
         self,
@@ -226,8 +211,7 @@ class HazardImpactStage:
     """Fig. 5 box one: natural-disaster impact via the fragility model.
 
     With ``fragility=None`` (the presets) the stage inherits the
-    analysis-level model through the context's memoized lookup, so the
-    deterministic-fragility failed-asset cache keeps working unchanged.
+    analysis-level model from the context.
     """
 
     fragility: FragilityModel | None = None
@@ -242,8 +226,8 @@ class HazardImpactStage:
 
     @property
     def deterministic(self) -> bool:
-        # An inherited model routes through the pipeline memo, which
-        # itself gates on the model's own `deterministic` flag.
+        # An inherited model is not part of the stage, so the stage
+        # itself counts as deterministic (this flag enters spec()).
         if self.fragility is None:
             return True
         return bool(getattr(self.fragility, "deterministic", False))
@@ -254,15 +238,10 @@ class HazardImpactStage:
         ctx: ChainContext,
         rng: np.random.Generator | None,
     ) -> SystemState:
-        if self.fragility is None:
-            failed = ctx.failed_assets(rng)
-        else:
-            failed = ctx.realization.failed_assets(self.fragility, rng)
+        model = self.fragility if self.fragility is not None else ctx.fragility
+        failed = ctx.realization.failed_assets(model, rng)
         ctx.extras["failed_assets"] = failed
         return initial_state(ctx.architecture, ctx.placement, failed)
-
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        return self.batch_support(ctx).ok
 
     def batch_support(
         self, ctx: BatchContext, upstream_failed: bool = False
@@ -469,9 +448,6 @@ class InterdependencyStage:
                     state = state.with_isolation(index)
         return state
 
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        return self.batch_support(ctx).ok
-
     def batch_support(
         self, ctx: BatchContext, upstream_failed: bool = False
     ) -> BatchSupport:
@@ -536,9 +512,8 @@ class CyberAttackStage:
 
     @property
     def deterministic(self) -> bool:
-        # An inherited attacker defaults to the deterministic worst-case
-        # model; an explicit one reports its own flag (absent -> assume
-        # stochastic, the safe direction for memo sharing).
+        # An inherited attacker is not part of the stage; an explicit
+        # one reports its own flag (absent -> assume stochastic).
         if self.attacker is None:
             return True
         return bool(getattr(self.attacker, "deterministic", False))
@@ -553,9 +528,6 @@ class CyberAttackStage:
             state = ctx.base_state()
         attacker = self.attacker if self.attacker is not None else ctx.attacker
         return attacker.attack(state, ctx.scenario.budget, rng)
-
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        return self.batch_support(ctx).ok
 
     def batch_support(
         self, ctx: BatchContext, upstream_failed: bool = False
@@ -631,9 +603,6 @@ class ClassificationStage:
         ctx.classified = evaluate(state)
         return state
 
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        return True
-
     def batch_support(
         self, ctx: BatchContext, upstream_failed: bool = False
     ) -> BatchSupport:
@@ -665,9 +634,6 @@ class NoOpStage:
     ) -> SystemState:
         return state
 
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        return True
-
     def apply_batch(
         self,
         batch: ChainBatch | None,
@@ -689,6 +655,11 @@ class ThreatChain:
     name: str
     stages: tuple[Stage, ...]
     description: str = ""
+    #: ``(stage, name, captures)`` per stage, resolved once for the
+    #: executors' loops.
+    _steps: tuple[tuple[Stage, str, str | None], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.stages:
@@ -699,36 +670,17 @@ class ThreatChain:
                     f"{stage!r} does not satisfy the Stage protocol "
                     "(needs a name and an apply method)"
                 )
+        steps = tuple(
+            (stage, stage.name, getattr(stage, "captures", None))
+            for stage in self.stages
+        )
+        object.__setattr__(self, "_steps", steps)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def stage_names(self) -> tuple[str, ...]:
         return tuple(stage.name for stage in self.stages)
-
-    def deterministic_prefix(self) -> tuple[str, ...]:
-        """Names of the leading stages that never consume the rng."""
-        names: list[str] = []
-        for stage in self.stages:
-            if not stage.deterministic:
-                break
-            names.append(stage.name)
-        return tuple(names)
-
-    def hazard_prefix_deterministic(self) -> bool:
-        """Whether the failed-asset memo may be shared across studies.
-
-        True when every stage up to and including the first
-        post-disaster-capturing stage (the hazard impact) is
-        deterministic; a chain with no hazard stage returns False (there
-        is no fragility pass to share).
-        """
-        for stage in self.stages:
-            if not stage.deterministic:
-                return False
-            if getattr(stage, "captures", None) == "post_disaster":
-                return True
-        return False
 
     def spec(self) -> dict:
         """The resolved chain description recorded in run manifests."""
@@ -750,68 +702,40 @@ class ThreatChain:
     def run(
         self, ctx: ChainContext, rng: np.random.Generator | None
     ) -> RealizationOutcome:
-        """One realization through every stage, with state snapshots."""
+        """One realization through every stage, with state snapshots.
+
+        Each stage's wall-clock accumulates by name in
+        ``ctx.stage_seconds`` (one ``perf_counter`` reading per stage
+        boundary).
+        """
+        perf = time.perf_counter
+        totals = ctx.stage_seconds
         ctx.classified = None
         ctx.extras.clear()
         state: SystemState | None = None
         snapshots: dict[str, SystemState] = {}
-        for stage in self.stages:
+        t0 = perf()
+        for stage, name, captures in self._steps:
             state = stage.apply(state, ctx, rng)
-            captures = getattr(stage, "captures", None)
             if captures is not None:
                 snapshots[captures] = state
+            t1 = perf()
+            totals[name] = totals.get(name, 0.0) + (t1 - t0)
+            t0 = t1
         return self._outcome(ctx, state, snapshots)
-
-    def run_state(
-        self, ctx: ChainContext, rng: np.random.Generator | None
-    ) -> OperationalState:
-        """The classification only -- the ensemble loop's fast path."""
-        ctx.classified = None
-        ctx.extras.clear()
-        state: SystemState | None = None
-        for stage in self.stages:
-            state = stage.apply(state, ctx, rng)
-        if ctx.classified is not None:
-            return ctx.classified
-        return evaluate(state if state is not None else ctx.base_state())
-
-    def run_state_timed(
-        self,
-        ctx: ChainContext,
-        rng: np.random.Generator | None,
-        totals: dict[str, float],
-    ) -> OperationalState:
-        """The fast path with per-stage wall-clock accumulated by name."""
-        perf = time.perf_counter
-        ctx.classified = None
-        ctx.extras.clear()
-        state: SystemState | None = None
-        for stage in self.stages:
-            t0 = perf()
-            state = stage.apply(state, ctx, rng)
-            elapsed = perf() - t0
-            name = stage.name
-            totals[name] = totals.get(name, 0.0) + elapsed
-        if ctx.classified is not None:
-            return ctx.classified
-        return evaluate(state if state is not None else ctx.base_state())
-
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        """Whether every stage can run the fused batched pass under ``ctx``."""
-        return self.batch_plan(ctx).ok
 
     def batch_plan(self, ctx: BatchContext) -> ChainBatchPlan:
         """The chain's batch capability and per-stage rng-draw layout.
 
         Walks the stages collecting their :class:`BatchSupport`
-        declarations (falling back to the boolean ``supports_batch``
-        probe for stages without one -- those are treated as draw-free).
-        ``upstream_failed`` tracks whether a failed-grid-producing stage
-        precedes, so e.g. the interdependency coupling batches under
-        stochastic fragility whenever a hazard stage feeds it.  A stage
-        without ``apply_batch``, or one that declines, yields a
-        not-``ok`` plan whose reason names the obstacle; ``run_batch``
-        auto-selection and the ``batch.fallback`` counter consume it.
+        declarations; a stage with ``apply_batch`` and no
+        ``batch_support`` is draw-free.  ``upstream_failed`` tracks
+        whether a failed-grid-producing stage precedes, so e.g. the
+        interdependency coupling batches under stochastic fragility
+        whenever a hazard stage feeds it.  A stage without
+        ``apply_batch``, or one that declines, yields a not-``ok`` plan
+        whose reason names the obstacle; the pipeline's executor
+        selection and the ``batch.fallback`` counter consume it.
         """
         stage_draws: list[int] = []
         upstream_failed = False
@@ -823,6 +747,7 @@ class ThreatChain:
                     stage=stage.name,
                 )
             probe = getattr(stage, "batch_support", None)
+            draws = 0
             if callable(probe):
                 support = probe(ctx, upstream_failed=upstream_failed)
                 if not support.ok:
@@ -831,16 +756,8 @@ class ThreatChain:
                         f"stage {stage.name!r}: {support.reason}",
                         stage=stage.name,
                     )
-                stage_draws.append(int(support.draws))
-            else:
-                legacy = getattr(stage, "supports_batch", None)
-                if callable(legacy) and not legacy(ctx):
-                    return ChainBatchPlan(
-                        False,
-                        f"stage {stage.name!r} declines batching",
-                        stage=stage.name,
-                    )
-                stage_draws.append(0)
+                draws = int(support.draws)
+            stage_draws.append(draws)
             if getattr(stage, "emits_failed_grid", False):
                 upstream_failed = True
         return ChainBatchPlan(True, None, tuple(stage_draws))
@@ -855,41 +772,23 @@ class ThreatChain:
 
         Returns ``(n_realizations,)`` severity codes indexing
         :data:`~repro.core.states.STATE_ORDER` -- the batched analogue of
-        mapping :meth:`run_state` over the ensemble, bitwise identical
-        to it for the built-in stages.  Stochastic stages replay the
-        scalar loop's rng stream from one up-front matrix draw (the
+        mapping :meth:`run` over the ensemble, bitwise identical to it
+        for the built-in stages.  Stochastic stages replay the
+        per-realization rng stream from one up-front matrix draw (the
         RNG-draw contract): the executor hands each stage its column
-        block through ``ctx.draws``.
+        block through ``ctx.draws``.  Each stage's wall-clock
+        accumulates by name in ``ctx.stage_seconds``.
         """
-        blocks = self._draw_blocks(ctx, rng, plan)
-        batch: ChainBatch | None = None
-        try:
-            for stage, block in zip(self.stages, blocks):
-                ctx.draws = block
-                batch = getattr(stage, "apply_batch")(batch, ctx, rng)
-        finally:
-            ctx.draws = None
-        return self._batch_codes(ctx, batch)
-
-    def run_batch_timed(
-        self,
-        ctx: BatchContext,
-        rng: np.random.Generator | None,
-        totals: dict[str, float],
-        plan: ChainBatchPlan | None = None,
-    ) -> np.ndarray:
-        """The batched pass with per-stage wall-clock accumulated by name."""
         perf = time.perf_counter
+        totals = ctx.stage_seconds
         blocks = self._draw_blocks(ctx, rng, plan)
         batch: ChainBatch | None = None
         try:
-            for stage, block in zip(self.stages, blocks):
+            for (stage, name, _), block in zip(self._steps, blocks):
                 t0 = perf()
                 ctx.draws = block
                 batch = getattr(stage, "apply_batch")(batch, ctx, rng)
-                elapsed = perf() - t0
-                name = stage.name
-                totals[name] = totals.get(name, 0.0) + elapsed
+                totals[name] = totals.get(name, 0.0) + (perf() - t0)
         finally:
             ctx.draws = None
         return self._batch_codes(ctx, batch)
@@ -910,7 +809,7 @@ class ThreatChain:
     def _batch_codes(
         self, ctx: BatchContext, batch: ChainBatch | None
     ) -> np.ndarray:
-        # Mirror the scalar executor's tail: a chain that never classified
+        # Mirror run()'s tail: a chain that never classified
         # evaluates its final state (base state when no stage produced one).
         if batch is None:
             batch = ctx.base_batch()
@@ -932,10 +831,7 @@ class ThreatChain:
         if classified is None:
             classified = evaluate(state)
         return RealizationOutcome(
-            realization_index=ctx.realization.index,
-            post_disaster=post_disaster,
-            post_attack=post_attack,
-            state=classified,
+            ctx.realization.index, post_disaster, post_attack, classified
         )
 
 

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro._deprecation import warn_deprecated
 from repro.errors import HazardError
 from repro.geo.catalog import AssetCatalog
 from repro.geo.coords import GeoPoint, destination_point
@@ -387,7 +386,6 @@ class EnsembleGenerator:
         resume: bool = False,
         retry: "RetryPolicy | None" = None,
         faults: "FaultPlan | None" = None,
-        transport: str | None = None,
     ) -> HurricaneEnsemble:
         """Generate a full ensemble deterministically from ``seed``.
 
@@ -399,8 +397,7 @@ class EnsembleGenerator:
         :class:`~repro.runtime.controller.RetryPolicy`), and ``faults``
         injects a deterministic
         :class:`~repro.runtime.faults.FaultPlan` for chaos testing.
-        ``transport`` is deprecated and has no effect: pooled workers
-        always return their row blocks as arrays.
+        Pooled workers return their row blocks as arrays.
 
         ``cache_dir`` names an on-disk cache directory: a hit (same
         scenario, surge/extension physics, mesh spacing, seed, and count)
@@ -416,12 +413,6 @@ class EnsembleGenerator:
             raise HazardError("n_jobs must be at least 1")
         if resume and cache_dir is None:
             raise HazardError("resume requires a cache_dir to hold checkpoints")
-        if transport is not None:
-            from repro.errors import RuntimeControlError
-
-            if transport not in ("auto", "inplace", "pickle"):
-                raise RuntimeControlError(f"unknown transport {transport!r}")
-            warn_deprecated("EnsembleGenerator.generate(transport=...)")
         from repro.obs.observer import current as current_observer
 
         obs = current_observer()

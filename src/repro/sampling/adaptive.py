@@ -278,7 +278,6 @@ def run_adaptive_study(
                         attacker=config.attacker,
                         seed=config.analysis_seed,
                         chain=chain,
-                        batch=config.batch,
                         weights=weights_r,
                     )
                     matrix_r = analysis.run_matrix(

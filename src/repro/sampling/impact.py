@@ -367,9 +367,6 @@ class LoadShedStage:
     # In the fused batched pass the stage is a no-op: impact numbers for
     # batch runs come from compute_impacts / StudyResult.exceedance(),
     # keeping run_batch bitwise identical to the scalar classification.
-    def supports_batch(self, ctx: "BatchContext") -> bool:
-        return True
-
     def apply_batch(
         self,
         batch: "ChainBatch | None",
@@ -411,9 +408,6 @@ class EconomicLossStage:
             impact.shed_mw, len(failed)
         )
         return state
-
-    def supports_batch(self, ctx: "BatchContext") -> bool:
-        return True
 
     def apply_batch(
         self,

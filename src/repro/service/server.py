@@ -82,6 +82,9 @@ _SPEC_FIELDS = frozenset(
         "hazard",
         "analysis_seed",
         "chain",
+        # Accepted and ignored: 1.x specs carried an executor switch
+        # ("batch") that never changed the numbers, and queued 1.x
+        # specs are replayed from the journal at boot.
         "batch",
         "jobs",
         "cache_dir",
@@ -120,7 +123,6 @@ def study_config_from_spec(spec: dict) -> StudyConfig:
         "hazard",
         "analysis_seed",
         "chain",
-        "batch",
         "jobs",
         "cache_dir",
     ):
@@ -342,11 +344,13 @@ class StudyService:
                 )
             )
         if isinstance(outcome, StudyFailure):
+            # Count before the state flips: a client that sees the
+            # terminal state must also see its counter.
             with self._lock:
+                self.obs.inc("service.jobs_failed")
                 job.state = JobState.FAILED
                 job.error = outcome.summary()
             self.journal.append("failed", job)
-            self.obs.inc("service.jobs_failed")
             return
         if isinstance(outcome, dict) and outcome.pop("_cancelled", False):
             # An adaptive run stopped at a round boundary on request:
@@ -354,15 +358,15 @@ class StudyService:
             # the study hash -- a resubmission must compute the full
             # answer), and the job lands terminal-cancelled.
             with self._lock:
+                self.obs.inc("service.jobs_cancelled")
                 job.state = JobState.CANCELLED
             self.journal.append("cancelled", job)
-            self.obs.inc("service.jobs_cancelled")
             return
         self.store.put(job.study_hash, outcome)
         with self._lock:
+            self.obs.inc("service.jobs_done")
             job.state = JobState.DONE
         self.journal.append("done", job)
-        self.obs.inc("service.jobs_done")
 
     def _run_one(self, config: StudyConfig, token=None) -> dict:
         """Execute one study and shape its result document.

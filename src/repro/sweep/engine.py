@@ -14,8 +14,8 @@ ensembles -- without ever generating the same ensemble twice:
 3. **Analyze** the group's studies with up to ``jobs`` workers.  Worker
    processes receive the shared ensemble once (pool initializer), run
    with their own observer, and ship metric snapshots back for merging;
-   anything unpicklable falls back to the serial path, which shares one
-   fragility memo per (ensemble, fragility) pair across studies.
+   anything unpicklable falls back to the serial path.  Either way the
+   group's studies share one failure-matrix memo per process.
 4. **Checkpoint** at study granularity: with ``sweep_dir`` set, each
    finished study lands in a checksummed ``study-<hash>.json`` shard and
    the sweep manifest is atomically rewritten, so ``resume=True`` skips
@@ -40,7 +40,6 @@ from repro.core.outcomes import ScenarioMatrix
 from repro.core.pipeline import CompoundThreatAnalysis
 from repro.errors import ConfigurationError, SerializationError
 from repro.hazards.base import HazardEnsemble
-from repro.hazards.fragility import FragilityModel, ThresholdFragility
 from repro.hazards.hurricane.standard import shared_standard_generator
 from repro.io.atomic import atomic_write_text, quarantine_file
 from repro.io.results_io import matrix_from_dict, matrix_to_dict
@@ -185,49 +184,23 @@ class SweepStore:
 # ----------------------------------------------------------------------
 # Per-study analysis (serial and pooled paths)
 # ----------------------------------------------------------------------
-def _fragility_token(fragility: FragilityModel | None):
-    """A dict key identifying a fragility model for memo sharing."""
-    model = fragility if fragility is not None else ThresholdFragility()
-    try:
-        hash(model)
-    except TypeError:
-        return id(model)
-    return model
-
-
 def _analyze(
-    ensemble: HazardEnsemble, config: StudyConfig, caches: dict
+    ensemble: HazardEnsemble, config: StudyConfig, matrix_cache: dict
 ) -> ScenarioMatrix:
     """One study's matrix over a shared ensemble.
 
-    ``caches`` maps fragility tokens to failed-asset memos shared across
-    the group's studies (sound because the ensemble is shared and the
-    pipeline only reads the memo for deterministic models).  A chain
-    whose hazard prefix is *not* deterministic (a stochastic stage runs
-    before or at the hazard impact) gets a private memo: its fragility
-    pass is not a pure function of the realization, so sharing it across
-    studies would leak one study's samples into another.
+    ``matrix_cache`` is the group's failure-matrix memo: its grids are
+    pure functions of (shared depths, fragility model) -- stochastic
+    chains sample fresh draws against them, never caching outcomes --
+    so every study of the group may share it.
     """
-    chain = config.resolve_chain()
-    if chain.hazard_prefix_deterministic():
-        failed_cache = caches.setdefault(
-            _fragility_token(config.resolve_fragility()), {}
-        )
-    else:
-        failed_cache = None
     analysis = CompoundThreatAnalysis(
         ensemble,
         fragility=config.resolve_fragility(),
         attacker=config.attacker,
         seed=config.analysis_seed,
-        failed_cache=failed_cache,
-        # The batched grids (failure masks, probability grids) are pure
-        # functions of (shared depths, model), so one group-wide memo is
-        # sound even for stochastic chains -- unlike the scalar
-        # failed-asset memo above, which is gated on determinism.
-        matrix_cache=caches.setdefault("__matrix__", {}),
-        chain=chain,
-        batch=config.batch,
+        matrix_cache=matrix_cache,
+        chain=config.resolve_chain(),
         # Weights are a pure function of (plan, stored track offsets), so
         # pool workers recompute them bit-identically from the config --
         # no weight arrays ever cross the process boundary.
@@ -243,7 +216,7 @@ def _analyze(
 _worker_ensemble: HazardEnsemble | None = None
 _worker_descriptor: dict | None = None
 _worker_fallback_ok: bool = False
-_worker_caches: dict = {}
+_worker_matrix_cache: dict = {}
 
 
 def _pool_init(ensemble: HazardEnsemble) -> None:
@@ -257,7 +230,7 @@ def _pool_init(ensemble: HazardEnsemble) -> None:
     _worker_ensemble = ensemble
     _worker_descriptor = None
     _worker_fallback_ok = False
-    _worker_caches.clear()
+    _worker_matrix_cache.clear()
 
 
 def _pool_init_shared(descriptor: dict, fallback_ok: bool = False) -> None:
@@ -274,7 +247,7 @@ def _pool_init_shared(descriptor: dict, fallback_ok: bool = False) -> None:
     _worker_ensemble = None
     _worker_descriptor = descriptor
     _worker_fallback_ok = fallback_ok
-    _worker_caches.clear()
+    _worker_matrix_cache.clear()
 
 
 def _fallback_ensemble(config: StudyConfig) -> HazardEnsemble:
@@ -332,7 +305,7 @@ def _pool_run(config: StudyConfig) -> tuple[dict, dict]:
     """Run one study in a worker; return (matrix dict, metric snapshot)."""
     obs = Observability()
     with activate(obs):
-        matrix = _analyze(_worker_get_ensemble(config), config, _worker_caches)
+        matrix = _analyze(_worker_get_ensemble(config), config, _worker_matrix_cache)
     return matrix_to_dict(matrix), obs.metrics.snapshot()
 
 
@@ -436,10 +409,10 @@ def _iter_group_results(
             return
         else:
             obs.event("sweep.parallel_fallback", reason="unpicklable ensemble")
-    caches: dict = {}
+    matrix_cache: dict = {}
 
     def _serial_runner(config: StudyConfig) -> ScenarioMatrix:
-        return _analyze(ensemble, config, caches)
+        return _analyze(ensemble, config, matrix_cache)
 
     for task, outcome in supervisor.run_serial(tasks, _serial_runner):
         yield task.position, outcome

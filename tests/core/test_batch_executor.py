@@ -32,6 +32,7 @@ from repro.hazards.fragility import LogisticFragility, ThresholdFragility
 from repro.hazards.base import MatrixEnsemble
 from repro.scada.architectures import PAPER_CONFIGURATIONS
 from repro.scada.placement import PLACEMENT_WAIAU
+from tests.oracle import oracle_profile
 
 
 def _site_patterns(architecture, max_intrusions=None):
@@ -128,6 +129,22 @@ def _tiny_ensemble(n=6, n_assets=4, seed=3):
     )
 
 
+def _observed_run(analysis, *args):
+    """Run one cell under a live observer; return (profile, observer)."""
+    from repro.obs import Observability, activate
+
+    obs = Observability()
+    with activate(obs):
+        profile = analysis.run(*args)
+    return profile, obs
+
+
+def _executor(obs) -> str:
+    (root,) = obs.tracer.roots
+    assert root.name == "analysis.run"
+    return root.meta["executor"]
+
+
 def test_stochastic_fragility_batches_bitwise_identically(small_ensemble):
     """LogisticFragility runs batched now, under the RNG-draw contract."""
     analysis = CompoundThreatAnalysis(
@@ -136,24 +153,22 @@ def test_stochastic_fragility_batches_bitwise_identically(small_ensemble):
     bctx = analysis._batch_context(
         PAPER_CONFIGURATIONS[0], PLACEMENT_WAIAU, PAPER_SCENARIOS[0]
     )
-    assert analysis.chain.supports_batch(bctx)
     plan = analysis.chain.batch_plan(bctx)
     assert plan.ok
     # One draw per asset per realization, charged to the hazard stage.
     assert plan.stage_draws[0] == len(small_ensemble.asset_names)
     assert plan.total_draws == len(small_ensemble.asset_names)
-    forced = CompoundThreatAnalysis(
-        small_ensemble, fragility=LogisticFragility(), seed=5, batch=True
-    )
-    oracle = CompoundThreatAnalysis(
-        small_ensemble, fragility=LogisticFragility(), seed=5, batch=False
-    )
     args = (PAPER_CONFIGURATIONS[0], PLACEMENT_WAIAU, PAPER_SCENARIOS[0])
-    assert forced.run(*args).counts == oracle.run(*args).counts
+    profile, obs = _observed_run(analysis, *args)
+    assert _executor(obs) == "batched"
+    oracle = oracle_profile(
+        small_ensemble, *args, fragility=LogisticFragility(), seed=5
+    )
+    assert profile.counts == oracle.counts
 
 
 def test_fragility_without_contract_falls_back(small_ensemble):
-    """A model that disclaims batch_sampling keeps the scalar loop."""
+    """A model that disclaims batch_sampling keeps the per-realization loop."""
 
     class LegacySampler(LogisticFragility):
         batch_sampling = False
@@ -161,45 +176,47 @@ def test_fragility_without_contract_falls_back(small_ensemble):
     analysis = CompoundThreatAnalysis(
         small_ensemble, fragility=LegacySampler(), seed=5
     )
-    bctx = analysis._batch_context(
-        PAPER_CONFIGURATIONS[0], PLACEMENT_WAIAU, PAPER_SCENARIOS[0]
-    )
-    plan = analysis.chain.batch_plan(bctx)
+    args = (PAPER_CONFIGURATIONS[0], PLACEMENT_WAIAU, PAPER_SCENARIOS[0])
+    plan = analysis.chain.batch_plan(analysis._batch_context(*args))
     assert not plan.ok
     assert plan.stage == "fragility"
     assert "batch-sampling contract" in plan.reason
-    # Auto mode silently uses the scalar loop...
-    profile = analysis.run(
-        PAPER_CONFIGURATIONS[0], PLACEMENT_WAIAU, PAPER_SCENARIOS[0]
-    )
+    profile, obs = _observed_run(analysis, *args)
+    assert _executor(obs) == "per-realization"
     assert profile.total == len(small_ensemble)
-    # ...and forcing batch refuses loudly, naming the stage's reason.
-    forced = CompoundThreatAnalysis(
-        small_ensemble, fragility=LegacySampler(), seed=5, batch=True
+    oracle = oracle_profile(
+        small_ensemble, *args, fragility=LegacySampler(), seed=5
     )
-    with pytest.raises(AnalysisError, match="unbatchable"):
-        forced.run(PAPER_CONFIGURATIONS[0], PLACEMENT_WAIAU, PAPER_SCENARIOS[0])
+    assert profile.counts == oracle.counts
 
 
 def test_silent_fallback_emits_counter_and_reason(small_ensemble):
-    """Auto-mode scalar fallbacks are observable: counter, reason, event."""
-    from repro.obs import Observability, activate
+    """Per-realization fallbacks are observable: counter, reason, event."""
 
     class LegacySampler(LogisticFragility):
         batch_sampling = False
 
-    obs = Observability()
-    with activate(obs):
-        analysis = CompoundThreatAnalysis(
-            small_ensemble, fragility=LegacySampler(), seed=5
-        )
-        analysis.run(PAPER_CONFIGURATIONS[0], PLACEMENT_WAIAU, PAPER_SCENARIOS[0])
+    analysis = CompoundThreatAnalysis(
+        small_ensemble, fragility=LegacySampler(), seed=5
+    )
+    _, obs = _observed_run(
+        analysis, PAPER_CONFIGURATIONS[0], PLACEMENT_WAIAU, PAPER_SCENARIOS[0]
+    )
     counters = obs.metrics.snapshot()["counters"]
     assert counters["batch.fallback"] == 1
     assert counters["batch.fallback.reason.stage.fragility"] == 1
+    assert "pipeline.batched_runs" not in counters
+    assert counters["pipeline.realizations"] == len(small_ensemble)
     events = [e for e in obs.events.to_list() if e["kind"] == "batch.fallback"]
     assert len(events) == 1
     assert "batch-sampling contract" in events[0]["reason"]
+    # The fallback is timed per stage like the batched pass.
+    (root,) = obs.tracer.roots
+    assert [c.name for c in root.children] == [
+        "pipeline.stage.fragility",
+        "pipeline.stage.cyberattack",
+        "pipeline.stage.classification",
+    ]
 
 
 def test_custom_stage_without_batch_support_falls_back(small_ensemble):
@@ -214,12 +231,45 @@ def test_custom_stage_without_batch_support_falls_back(small_ensemble):
         name="custom-tracing",
         stages=(HazardImpactStage(), TracingStage(), ClassificationStage()),
     )
-    auto = CompoundThreatAnalysis(small_ensemble, chain=chain)
-    oracle = CompoundThreatAnalysis(small_ensemble, chain=chain, batch=False)
+    analysis = CompoundThreatAnalysis(small_ensemble, chain=chain)
     args = (PAPER_CONFIGURATIONS[1], PLACEMENT_WAIAU, PAPER_SCENARIOS[1])
-    assert auto.run(*args).counts == oracle.run(*args).counts
-    with pytest.raises(AnalysisError, match="unbatchable"):
-        CompoundThreatAnalysis(small_ensemble, chain=chain, batch=True).run(*args)
+    plan = analysis.chain.batch_plan(analysis._batch_context(*args))
+    assert not plan.ok and plan.stage == "tracing"
+    profile, obs = _observed_run(analysis, *args)
+    assert _executor(obs) == "per-realization"
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["batch.fallback.reason.stage.tracing"] == 1
+    assert profile.counts == oracle_profile(small_ensemble, *args, chain=chain).counts
+
+
+def test_stage_with_apply_batch_and_no_batch_support_batches_draw_free():
+    """``batch_support`` is optional; a ``supports_batch`` is never read."""
+
+    class PassThroughStage:
+        name = "pass-through"
+        deterministic = True
+
+        def apply(self, state, ctx, rng):
+            return state
+
+        def apply_batch(self, batch, ctx, rng):
+            return batch
+
+        def supports_batch(self, ctx):  # ignored since 2.0.0
+            return False
+
+    ensemble = _tiny_ensemble()
+    chain = ThreatChain(
+        name="custom-pass-through",
+        stages=(HazardImpactStage(), PassThroughStage(), ClassificationStage()),
+    )
+    analysis = CompoundThreatAnalysis(ensemble, chain=chain)
+    args = (PAPER_CONFIGURATIONS[1], PLACEMENT_WAIAU, PAPER_SCENARIOS[1])
+    plan = analysis.chain.batch_plan(analysis._batch_context(*args))
+    assert plan.ok and plan.stage_draws == (0, 0, 0)
+    profile, obs = _observed_run(analysis, *args)
+    assert _executor(obs) == "batched"
+    assert profile.counts == oracle_profile(ensemble, *args, chain=chain).counts
 
 
 def test_ensemble_without_depth_grid_falls_back():
@@ -241,19 +291,27 @@ def test_ensemble_without_depth_grid_falls_back():
     inner = _tiny_ensemble()
     wrapped = CompoundThreatAnalysis(ListEnsemble(inner))
     args = (PAPER_CONFIGURATIONS[0], PLACEMENT_WAIAU, PAPER_SCENARIOS[3])
-    direct = CompoundThreatAnalysis(inner, batch=True)
-    assert wrapped.run(*args).counts == direct.run(*args).counts
-    with pytest.raises(AnalysisError, match="depth grid"):
-        CompoundThreatAnalysis(ListEnsemble(inner), batch=True).run(*args)
+    assert wrapped._batch_context(*args) is None
+    profile, obs = _observed_run(wrapped, *args)
+    assert _executor(obs) == "per-realization"
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["batch.fallback.reason.no_depth_grid"] == 1
+    (event,) = [e for e in obs.events.to_list() if e["kind"] == "batch.fallback"]
+    assert "depth grid" in event["reason"]
+    direct = CompoundThreatAnalysis(inner)
+    assert profile.counts == direct.run(*args).counts
+    assert profile.counts == oracle_profile(inner, *args).counts
 
 
 def test_noop_chain_classifies_base_state_on_both_paths():
     ensemble = _tiny_ensemble()
     chain = ThreatChain(name="custom-noop", stages=(NoOpStage(),))
     args = (PAPER_CONFIGURATIONS[2], PLACEMENT_WAIAU, PAPER_SCENARIOS[0])
-    batched = CompoundThreatAnalysis(ensemble, chain=chain, batch=True).run(*args)
-    oracle = CompoundThreatAnalysis(ensemble, chain=chain, batch=False).run(*args)
-    assert batched.counts == oracle.counts
+    batched, obs = _observed_run(
+        CompoundThreatAnalysis(ensemble, chain=chain), *args
+    )
+    assert _executor(obs) == "batched"
+    assert batched.counts == oracle_profile(ensemble, *args, chain=chain).counts
 
 
 def test_batched_matrix_shares_one_failure_matrix_across_cells():
@@ -266,9 +324,7 @@ def test_batched_matrix_shares_one_failure_matrix_across_cells():
             return super().failure_matrix(depths)
 
     ensemble = _tiny_ensemble()
-    analysis = CompoundThreatAnalysis(
-        ensemble, fragility=CountingThreshold(), batch=True
-    )
+    analysis = CompoundThreatAnalysis(ensemble, fragility=CountingThreshold())
     analysis.run_matrix(
         list(PAPER_CONFIGURATIONS), PLACEMENT_WAIAU, list(PAPER_SCENARIOS)
     )
@@ -286,9 +342,11 @@ def test_attack_stage_with_explicit_attacker_batches():
         ),
     )
     args = (PAPER_CONFIGURATIONS[4], PLACEMENT_WAIAU, PAPER_SCENARIOS[3])
-    batched = CompoundThreatAnalysis(ensemble, chain=chain, batch=True).run(*args)
-    oracle = CompoundThreatAnalysis(ensemble, chain=chain, batch=False).run(*args)
-    assert batched.counts == oracle.counts
+    batched, obs = _observed_run(
+        CompoundThreatAnalysis(ensemble, chain=chain), *args
+    )
+    assert _executor(obs) == "batched"
+    assert batched.counts == oracle_profile(ensemble, *args, chain=chain).counts
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Property test: the batched executor equals the per-realization oracle.
 
 The batched path's contract is *bitwise identity* -- not statistical
-agreement -- with looping ``run_state`` over the ensemble.  Hypothesis
+agreement -- with looping ``ThreatChain.run`` over the ensemble (the
+oracle in ``tests/oracle.py``).  Hypothesis
 drives randomized fragility thresholds, attack budgets, asset subsets,
 and depth grids through every registered preset chain, both placements,
 and every paper architecture, comparing element-wise severity codes and
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.api import StudyConfig
 from repro.core.chain import available_chains, get_chain
+from repro.core.outcomes import OperationalProfile
 from repro.core.pipeline import CompoundThreatAnalysis
 from repro.core.states import STATE_ORDER
 from repro.core.threat import CyberAttackBudget, ThreatScenario
@@ -24,6 +26,7 @@ from repro.hazards.fragility import ThresholdFragility
 from repro.hazards.base import MatrixEnsemble
 from repro.scada.architectures import PAPER_CONFIGURATIONS
 from repro.scada.placement import PLACEMENT_KAHE, PLACEMENT_WAIAU
+from tests.oracle import oracle_matrix, oracle_states
 
 CATALOG_NAMES = build_oahu_catalog().names
 PLACEMENTS = {"waiau": PLACEMENT_WAIAU, "kahe": PLACEMENT_KAHE}
@@ -74,32 +77,28 @@ def test_batched_equals_per_realization(
     )
     fragility = ThresholdFragility(threshold_m=threshold)
 
-    oracle = CompoundThreatAnalysis(
-        ensemble, fragility=fragility, chain=chain_name, batch=False
-    )
-    batched = CompoundThreatAnalysis(
-        ensemble, fragility=fragility, chain=chain_name, batch=True
+    analysis = CompoundThreatAnalysis(
+        ensemble, fragility=fragility, chain=chain_name
     )
 
     # Element-wise severity codes, in ensemble order.
     chain = get_chain(chain_name)
-    bctx = batched._batch_context(architecture, placement, scenario)
-    assert bctx is not None and chain.supports_batch(bctx)
+    bctx = analysis._batch_context(architecture, placement, scenario)
+    assert bctx is not None and chain.batch_plan(bctx).ok
     codes = chain.run_batch(bctx, None)
-    ctx = oracle._context(architecture, placement, scenario)
-    rng = np.random.default_rng(0)
-    for i, realization in enumerate(ensemble):
-        ctx.realization = realization
-        state = chain.run_state(ctx, rng)
+    states = oracle_states(
+        ensemble, architecture, placement, scenario,
+        chain=chain_name, fragility=fragility,
+    )
+    for i, state in enumerate(states):
         assert state.severity == int(codes[i]), (
             f"realization {i}: scalar {state} != "
             f"batched {STATE_ORDER[int(codes[i])]}"
         )
 
-    # And the aggregated profiles through the public entry point.
-    profile_oracle = oracle.run(architecture, placement, scenario)
-    profile_batched = batched.run(architecture, placement, scenario)
-    assert profile_oracle.counts == profile_batched.counts
+    # And the aggregated profile through the public entry point.
+    profile = analysis.run(architecture, placement, scenario)
+    assert profile.counts == OperationalProfile.from_states(states).counts
 
 
 @settings(max_examples=10, deadline=None)
@@ -107,21 +106,26 @@ def test_batched_equals_per_realization(
     depth_seed=st.integers(min_value=0, max_value=2**31),
     threshold=st.floats(min_value=0.0, max_value=1.5, allow_nan=False),
 )
-def test_study_config_batch_toggle_is_bitwise_identical(depth_seed, threshold):
-    """The run_study-level toggle: batch=False and batch=True agree."""
+def test_run_study_equals_the_oracle(depth_seed, threshold):
+    """The public facade's matrix equals the oracle's, cell by cell."""
     from repro.api import run_study
 
     ensemble = _ensemble(depth_seed, len(CATALOG_NAMES))
-    base = StudyConfig(
-        ensemble=ensemble,
-        fragility=ThresholdFragility(threshold_m=threshold),
-        observability=False,
+    fragility = ThresholdFragility(threshold_m=threshold)
+    config = StudyConfig(
+        ensemble=ensemble, fragility=fragility, observability=False
     )
-    forced = run_study(base.replace(batch=True))
-    oracle = run_study(base.replace(batch=False))
-    for scenario in forced.matrix.scenario_names:
-        for arch in forced.matrix.architecture_names:
+    study = run_study(config)
+    oracle = oracle_matrix(
+        ensemble,
+        config.resolve_configurations(),
+        config.resolve_placement(),
+        config.resolve_scenarios(),
+        fragility=fragility,
+    )
+    for scenario in study.matrix.scenario_names:
+        for arch in study.matrix.architecture_names:
             assert (
-                forced.matrix.get(scenario, arch).counts
-                == oracle.matrix.get(scenario, arch).counts
+                study.matrix.get(scenario, arch).counts
+                == oracle.get(scenario, arch).counts
             )

@@ -138,24 +138,14 @@ class TestIntrospection:
         ]
         assert all(s["deterministic"] for s in spec["stages"])
 
-    def test_deterministic_prefix_stops_at_first_stochastic_stage(self):
+    def test_spec_records_each_stage_deterministic_flag(self):
         chain = ThreatChain(
             "mixed",
             (HazardImpactStage(), _StochasticStage(), ClassificationStage()),
         )
-        assert chain.deterministic_prefix() == ("fragility",)
-
-    def test_hazard_prefix_deterministic(self):
-        assert CHAIN_PAPER.hazard_prefix_deterministic()
-        assert CHAIN_GRID_COUPLED.hazard_prefix_deterministic()
-        # A stochastic stage ahead of the hazard poisons the memo.
-        poisoned = ThreatChain(
-            "poisoned", (_StochasticStage(), HazardImpactStage())
-        )
-        assert not poisoned.hazard_prefix_deterministic()
-        # No hazard stage -> nothing to share.
-        hazardless = ThreatChain("hazardless", (NoOpStage(),))
-        assert not hazardless.hazard_prefix_deterministic()
+        assert [s["deterministic"] for s in chain.spec()["stages"]] == [
+            True, False, True,
+        ]
 
 
 class TestPaperChainEquivalence:

@@ -1,15 +1,18 @@
-"""Failed-asset memoization in the analysis pipeline.
+"""Fragility evaluation in the analysis pipeline.
 
-With a deterministic fragility model the failed-asset set is a pure
-function of the realization, so ``run_matrix`` must evaluate fragility
-exactly once per realization -- not once per (scenario, architecture)
-cell -- and the memoized profiles must equal the unmemoized ones.
+A fragility model that declares itself deterministic runs on the
+batched executor (one failure matrix per model, shared across cells);
+a chain stage with no batched pass sends the matrix to the
+per-realization loop, which keeps no failed-asset memo.  Both must give
+the same profiles, and the pipeline must equal a by-hand recomputation
+of every outcome.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.chain import CHAIN_PAPER, ThreatChain
 from repro.core.pipeline import CompoundThreatAnalysis
 from repro.core.threat import PAPER_SCENARIOS
 from repro.hazards.fragility import PAPER_FAILURE_THRESHOLD_M, FragilityModel
@@ -25,6 +28,7 @@ class CountingFragility(FragilityModel):
     def __init__(self, threshold_m: float = PAPER_FAILURE_THRESHOLD_M) -> None:
         self.threshold_m = threshold_m
         self.failed_assets_calls = 0
+        self.failure_matrix_rows = 0
 
     def failure_probability(self, depth_m: float) -> float:
         return 1.0 if depth_m > self.threshold_m else 0.0
@@ -33,11 +37,25 @@ class CountingFragility(FragilityModel):
         self.failed_assets_calls += 1
         return super().failed_assets(depths_m, rng)
 
+    def failure_matrix(self, depths):
+        self.failure_matrix_rows += depths.shape[0]
+        return super().failure_matrix(depths)
+
 
 class UncachedCountingFragility(CountingFragility):
-    """Same rule, but opted out of memoization."""
+    """Same rule, but not declared deterministic: runs per realization."""
 
     deterministic = False
+
+
+class _PassthroughStage:
+    """A custom stage with no batched pass: forces per-realization runs."""
+
+    name = "passthrough"
+    deterministic = True
+
+    def apply(self, state, ctx, rng):
+        return state if state is not None else ctx.base_state()
 
 
 def _profiles(matrix):
@@ -49,28 +67,32 @@ def _profiles(matrix):
 
 
 def test_run_matrix_evaluates_fragility_once_per_realization(small_ensemble):
-    # batch=False: this tests the per-realization memo specifically (the
-    # batched executor has its own failure-matrix cache).
+    # The batched executor evaluates one failure matrix for the model and
+    # shares it across every (scenario, architecture) cell.
     fragility = CountingFragility()
-    analysis = CompoundThreatAnalysis(
-        small_ensemble, fragility=fragility, batch=False
-    )
+    analysis = CompoundThreatAnalysis(small_ensemble, fragility=fragility)
     analysis.run_matrix(
         list(PAPER_CONFIGURATIONS), PLACEMENT_WAIAU, list(PAPER_SCENARIOS)
     )
-    assert fragility.failed_assets_calls == len(small_ensemble)
+    assert fragility.failure_matrix_rows == len(small_ensemble)
+    assert fragility.failed_assets_calls == 0
 
 
 def test_unmemoized_pays_the_full_matrix_cost(small_ensemble):
-    fragility = UncachedCountingFragility()
+    # The per-realization loop re-evaluates fragility in every cell.
+    fragility = CountingFragility()
+    chain = ThreatChain(
+        "passthrough-prefix", (_PassthroughStage(), *CHAIN_PAPER.stages)
+    )
     analysis = CompoundThreatAnalysis(
-        small_ensemble, fragility=fragility, batch=False
+        small_ensemble, fragility=fragility, chain=chain
     )
     analysis.run_matrix(
         list(PAPER_CONFIGURATIONS), PLACEMENT_WAIAU, list(PAPER_SCENARIOS)
     )
     cells = len(PAPER_CONFIGURATIONS) * len(PAPER_SCENARIOS)
     assert fragility.failed_assets_calls == len(small_ensemble) * cells
+    assert fragility.failure_matrix_rows == 0
 
 
 def test_memoized_profiles_equal_unmemoized(small_ensemble):
@@ -84,9 +106,8 @@ def test_memoized_profiles_equal_unmemoized(small_ensemble):
 
 
 def test_default_fragility_matches_pre_memoization_run(small_ensemble):
-    # The default ThresholdFragility never consumes the rng, so memoizing
-    # cannot perturb the attacker's rng stream: run() through the memoized
-    # path equals a by-hand recomputation of every realization outcome.
+    # The default ThresholdFragility never consumes the rng, so the
+    # batched run() equals a by-hand recomputation of every outcome.
     analysis = CompoundThreatAnalysis(small_ensemble)
     profile = analysis.run(
         PAPER_CONFIGURATIONS[0], PLACEMENT_WAIAU, PAPER_SCENARIOS[0]

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.attacker import ProbabilisticAttacker
-from repro.core.chain import get_chain
+from repro.core.chain import available_chains, get_chain
 from repro.core.pipeline import CompoundThreatAnalysis
 from repro.core.states import STATE_ORDER
 from repro.core.threat import CyberAttackBudget, ThreatScenario
@@ -31,13 +31,13 @@ from repro.hazards.fragility import LogisticFragility
 from repro.hazards.base import MatrixEnsemble
 from repro.scada.architectures import PAPER_CONFIGURATIONS
 from repro.scada.placement import PLACEMENT_KAHE, PLACEMENT_WAIAU
+from tests.oracle import oracle_profile, oracle_states
 
 CATALOG_NAMES = build_oahu_catalog().names
 PLACEMENTS = {"waiau": PLACEMENT_WAIAU, "kahe": PLACEMENT_KAHE}
-#: Chains with a stochastic-capable hazard stage (the earthquake/flood
-#: presets swap in their own hazard models; the paper family is what the
-#: LogisticFragility ablations run through).
-CHAINS = ("paper", "grid-coupled", "tail-risk")
+#: Every registered chain: each inherits the analysis-level fragility
+#: model and attacker, so each runs the stochastic lane.
+CHAINS = tuple(available_chains())
 
 
 def _ensemble(depth_seed: int, n_realizations: int) -> MatrixEnsemble:
@@ -92,14 +92,15 @@ def test_stochastic_batched_equals_per_realization(
         seed=analysis_seed,
         chain=get_chain(chain_name),
     )
-    batched = CompoundThreatAnalysis(ensemble, batch=True, **kwargs)
-    oracle = CompoundThreatAnalysis(ensemble, batch=False, **kwargs)
+    analysis = CompoundThreatAnalysis(ensemble, **kwargs)
     args = (
         PAPER_CONFIGURATIONS[arch_index],
         PLACEMENTS[placement_name],
         scenario,
     )
-    assert batched.run(*args).counts == oracle.run(*args).counts
+    assert analysis.chain.batch_plan(analysis._batch_context(*args)).ok
+    oracle = oracle_profile(ensemble, *args, **kwargs)
+    assert analysis.run(*args).counts == oracle.counts
 
 
 @settings(max_examples=20, deadline=None)
@@ -124,16 +125,20 @@ def test_batched_codes_replay_the_scalar_stream(
     scenario = ThreatScenario(
         name="codes", budget=CyberAttackBudget(intrusions=3, isolations=2)
     )
-    ctx = analysis._context(architecture, PLACEMENT_WAIAU, scenario)
     bctx = analysis._batch_context(architecture, PLACEMENT_WAIAU, scenario)
     plan = analysis.chain.batch_plan(bctx)
     assert plan.ok and plan.total_draws > 0
     codes = analysis.chain.run_batch(bctx, np.random.default_rng(seed), plan)
-    scalar_rng = np.random.default_rng(seed)
-    expected = []
-    for realization in ensemble:
-        ctx.realization = realization
-        expected.append(analysis.chain.run_state(ctx, scalar_rng))
+    expected = oracle_states(
+        ensemble,
+        architecture,
+        PLACEMENT_WAIAU,
+        scenario,
+        chain=analysis.chain,
+        fragility=analysis.fragility,
+        attacker=analysis.attacker,
+        seed=seed,
+    )
     assert [STATE_ORDER[int(c)] for c in codes] == expected
 
 
@@ -155,7 +160,6 @@ def test_identity_holds_across_generation_worker_counts(tmp_path):
             fragility=LogisticFragility(steepness_per_m=4.0),
             attacker=ProbabilisticAttacker(p_intrusion=0.6, p_isolation=0.7),
             seed=11,
-            batch=True,
         )
         profiles.append(
             analysis.run(

@@ -15,7 +15,7 @@ class TestTopLevelExports:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "1.7.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_subpackage_exports_resolve(self):
         import repro.bft as bft
@@ -80,8 +80,35 @@ class TestCliEntryPoint:
 
         parser = build_parser()
         subcommands = {
-            "ensemble", "run", "analyze", "figures", "siting",
+            "ensemble", "run", "figures", "siting",
             "bft-demo", "grid-impact", "timeline", "earthquake",
         }
         actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
         assert subcommands <= set(actions[0].choices)
+
+
+class TestRemovedIn200:
+    """The 1.x deprecation runway was executed in 2.0.0; see
+    ``docs/api_guide.md`` for what replaces each surface."""
+
+    def test_geo_oahu_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.geo.oahu  # noqa: F401
+
+    def test_analyze_cli_alias_is_gone(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--realizations", "10"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'analyze'" in capsys.readouterr().err
+
+    def test_attack_batch_fallback_is_gone(self):
+        import repro.core.batch as batch
+
+        assert not hasattr(batch, "attack_batch_fallback")
+        assert "attack_batch_fallback" not in batch.__all__
+
+    def test_deprecation_registry_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro._deprecation  # noqa: F401

@@ -28,14 +28,14 @@ class TestAnalyzeCommand:
         return str(path)
 
     def test_tables(self, small_csv, capsys):
-        code = main(["analyze", "--ensemble", small_csv])
+        code = main(["run", "--ensemble", small_csv])
         assert code == 0
         out = capsys.readouterr().out
         assert "Scenario: hurricane" in out
         assert "6+6+6" in out
 
     def test_csv_output(self, small_csv, capsys):
-        code = main(["analyze", "--ensemble", small_csv, "--csv"])
+        code = main(["run", "--ensemble", small_csv, "--csv"])
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("placement,scenario,architecture")
@@ -43,7 +43,7 @@ class TestAnalyzeCommand:
     def test_filtered_configs_and_scenarios(self, small_csv, capsys):
         code = main(
             [
-                "analyze",
+                "run",
                 "--ensemble", small_csv,
                 "--config", "6+6+6",
                 "--scenario", "hurricane+isolation",
@@ -56,12 +56,12 @@ class TestAnalyzeCommand:
         assert "Scenario: hurricane\n" not in out
 
     def test_unknown_config_is_an_error(self, small_csv, capsys):
-        code = main(["analyze", "--ensemble", small_csv, "--config", "9"])
+        code = main(["run", "--ensemble", small_csv, "--config", "9"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_kahe_placement(self, small_csv, capsys):
-        code = main(["analyze", "--ensemble", small_csv, "--placement", "kahe"])
+        code = main(["run", "--ensemble", small_csv, "--placement", "kahe"])
         assert code == 0
         assert "Kahe Control Center" in capsys.readouterr().out
 
@@ -100,20 +100,6 @@ class TestRunCommand:
         code = main(["run", "--ensemble", small_csv, "--csv"])
         assert code == 0
         assert capsys.readouterr().out.startswith("placement,scenario,architecture")
-
-    def test_matches_analyze_alias_exactly(self, small_csv, capsys):
-        main(["run", "--ensemble", small_csv, "--csv"])
-        via_run = capsys.readouterr().out
-        main(["analyze", "--ensemble", small_csv, "--csv"])
-        via_alias = capsys.readouterr().out
-        assert via_run == via_alias
-
-    def test_analyze_prints_deprecation_note(self, small_csv, capsys):
-        code = main(["analyze", "--ensemble", small_csv, "--csv"])
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "deprecated alias" in err
-        assert "run_study" in err
 
     def test_telemetry_outputs(self, small_csv, tmp_path, capsys):
         manifest_path = tmp_path / "run_manifest.json"

@@ -2,8 +2,8 @@
 
 Pooled workers return each row block's ``(B x A)`` depths in its
 :class:`BlockOutcome`, and the parent writes them into the run's depth
-matrix, which becomes the ensemble; the deprecated ``transport``
-argument of ``generate()`` has no effect.  These tests pin the pooled
+matrix, which becomes the ensemble; ``generate()`` has no transport
+argument since 2.0.0.  These tests pin the pooled
 path's guarantees: bitwise identity with the inline run and the per-row
 oracle, an ensemble that holds the run's matrix itself, the in-worker
 shape guard, and fault-tolerance parity (crash, corrupt row, hung block,
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import CorruptResultError, RetryExhaustedError, RuntimeControlError
+from repro.errors import CorruptResultError, RetryExhaustedError
 from repro.hazards.hurricane.standard import standard_oahu_generator
 from repro.runtime import controller as controller_mod
 from repro.runtime.checkpoint import CheckpointStore
@@ -56,7 +56,7 @@ def _pooled(generator, **kwargs) -> tuple[RunController, object]:
 
 class TestTransportSelection:
     def test_unknown_transport_rejected(self, generator):
-        with pytest.raises(RuntimeControlError, match="transport"):
+        with pytest.raises(TypeError, match="transport"):
             generator.generate(count=COUNT, seed=SEED, transport="carrier-pigeon")
 
     def test_plan_sampled_generator_runs_inplace(self, generator):
@@ -72,17 +72,10 @@ class TestTransportSelection:
 
 class TestBitwiseIdentity:
     def test_inplace_pickle_and_inline_agree(self, generator, oracle):
-        """The deprecated transport values only warn: every run is the
-        one pooled path and matches the inline run and the oracle."""
+        """The one pooled path (which replaced the in-place and pickled
+        transports) matches the inline run and the oracle."""
         inline = RunController(generator, COUNT, SEED, n_jobs=1).run()
-        runs = [inline]
-        for transport in ("inplace", "pickle"):
-            with pytest.warns(DeprecationWarning, match="transport"):
-                runs.append(
-                    generator.generate(
-                        count=COUNT, seed=SEED, n_jobs=3, transport=transport
-                    )
-                )
+        runs = [inline, generator.generate(count=COUNT, seed=SEED, n_jobs=3)]
         reference = _depths(oracle)
         for ensemble in runs:
             assert np.array_equal(ensemble.depth_view(), reference)

@@ -73,13 +73,9 @@ class TestBlockCounts:
         assert_matches(ensemble, oracle, oracle_depths)
 
     def test_transports_produce_the_same_bits(self, generator, oracle_depths):
-        """The deprecated ``transport`` values warn and change nothing."""
-        for transport in ("auto", "inplace", "pickle"):
-            with pytest.warns(DeprecationWarning, match="2.0.0"):
-                ensemble = generator.generate(
-                    count=COUNT, seed=SEED, n_jobs=2, transport=transport
-                )
-            assert np.array_equal(ensemble.depth_view(), oracle_depths)
+        """Pooled ``generate()`` (the one transport) gives the oracle's bits."""
+        ensemble = generator.generate(count=COUNT, seed=SEED, n_jobs=2)
+        assert np.array_equal(ensemble.depth_view(), oracle_depths)
 
 
 class TestResumeMidBlock:

@@ -227,6 +227,43 @@ class TestDurability:
         finally:
             shutdown(reborn, server2)
 
+    def test_queued_1_7_spec_with_batch_field_replays(self, service_dir):
+        """A journal written by 1.7.0 still replays: its queued spec
+        carries the removed ``"batch"`` executor switch, which 2.0.0
+        accepts and ignores -- same matrix, same study identity."""
+        line = (
+            '{"enqueues": 1, "event": "submitted", '
+            '"job_id": "job-000001-6f4a2506", "schema_version": 1, '
+            '"spec": {"batch": false, "configurations": ["2"], '
+            '"n_realizations": 30, "scenarios": ["hurricane"]}, '
+            '"state": "queued", '
+            '"study_hash": "6f4a25061bdafc85a023f564edb04ff2"}\n'
+        )
+        service_dir.mkdir(parents=True)
+        (service_dir / "journal.jsonl").write_text(line)
+        assert study_config_from_spec(
+            {**SMALL_SPEC, "batch": False}
+        ) == study_config_from_spec(SMALL_SPEC)
+
+        service, server, client = boot(service_dir)
+        try:
+            status = client.wait("job-000001-6f4a2506", timeout=120.0)
+            assert status["state"] == "done"
+            assert status["study_hash"] == "6f4a25061bdafc85a023f564edb04ff2"
+            result = client.result("job-000001-6f4a2506")
+            local = run_study(study_config_from_spec(SMALL_SPEC))
+            assert result["matrix"] == matrix_to_dict(local.matrix)
+            assert (
+                result["manifest"]["config_hash"]
+                == local.manifest["config_hash"]
+            )
+            # A fresh submission without the field is the same study.
+            again = client.submit(SMALL_SPEC)
+            assert again["cached"] is True
+            assert again["study_hash"] == status["study_hash"]
+        finally:
+            shutdown(service, server)
+
     def test_restart_with_stored_result_marks_job_done(self, service_dir):
         service, server, client = boot(service_dir)
         submitted = client.submit(SMALL_SPEC)

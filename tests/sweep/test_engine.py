@@ -124,8 +124,14 @@ def test_chain_axis_shares_the_ensemble_and_records_chains():
 
 
 def test_stochastic_chain_prefix_does_not_share_fragility_memos():
-    """Memo sharing is gated on the chain's deterministic hazard prefix."""
-    from repro.core.chain import CHAIN_PAPER, HazardImpactStage, ThreatChain
+    """A stochastic prefix keeps each study off the group's fragility memo.
+
+    The chain runs per realization, so each study evaluates fragility
+    itself, once per realization, instead of reading the failure matrix
+    the group's studies share.
+    """
+    from repro.core.chain import CHAIN_PAPER, ThreatChain
+    from repro.hazards.fragility import ThresholdFragility
 
     class _CoinflipStage:
         name = "coinflip"
@@ -134,21 +140,75 @@ def test_stochastic_chain_prefix_does_not_share_fragility_memos():
         def apply(self, state, ctx, rng):
             return state if state is not None else ctx.base_state()
 
+    class _CountingFragility(ThresholdFragility):
+        calls = {"failed_assets": 0, "failure_matrix": 0}
+
+        def failed_assets(self, depths_m, rng=None):
+            self.calls["failed_assets"] += 1
+            return super().failed_assets(depths_m, rng)
+
+        def failure_matrix(self, depths):
+            self.calls["failure_matrix"] += 1
+            return super().failure_matrix(depths)
+
     stochastic = ThreatChain(
         "stochastic-prefix", (_CoinflipStage(), *CHAIN_PAPER.stages)
     )
-    assert not stochastic.hazard_prefix_deterministic()
-    base = StudyConfig(n_realizations=25, configurations=("2",))
+    base = StudyConfig(
+        n_realizations=25,
+        configurations=("2",),
+        fragility=_CountingFragility(),
+        chain=stochastic,
+    )
     grid = [
-        base.replace(scenarios=("hurricane",), chain=stochastic),
-        base.replace(scenarios=("hurricane+isolation",), chain=stochastic),
+        base.replace(scenarios=("hurricane",)),
+        base.replace(scenarios=("hurricane+isolation",)),
+    ]
+    result = run_sweep(grid)
+    assert counters(result)["sweep.ensemble.generated"] == 1
+    # One cell per study, 25 realizations each, no shared failure matrix.
+    assert _CountingFragility.calls == {"failed_assets": 50, "failure_matrix": 0}
+
+
+def test_stochastic_prefix_sweep_matches_run_study():
+    """Studies sharing an ensemble never share sampled outcomes.
+
+    A custom stage draws from the rng before a stochastic hazard stage
+    and has no batched pass, so the chain runs per realization; each
+    sweep cell must still equal an independent ``run_study`` of its
+    config.
+    """
+    from repro.core.chain import CHAIN_PAPER, ThreatChain
+    from repro.hazards.fragility import LogisticFragility
+
+    class _CoinflipStage:
+        name = "coinflip"
+        deterministic = False
+
+        def apply(self, state, ctx, rng):
+            rng.random()
+            return state if state is not None else ctx.base_state()
+
+    stochastic = ThreatChain(
+        "stochastic-prefix", (_CoinflipStage(), *CHAIN_PAPER.stages)
+    )
+    base = StudyConfig(
+        n_realizations=25,
+        configurations=("2", "2-2"),
+        fragility=LogisticFragility(steepness_per_m=4.0),
+        chain=stochastic,
+    )
+    grid = [
+        base.replace(scenarios=("hurricane",)),
+        base.replace(scenarios=("hurricane", "hurricane+isolation"), analysis_seed=3),
     ]
     result = run_sweep(grid)
     c = counters(result)
     assert c["sweep.ensemble.generated"] == 1
-    # Without sharing, each study runs its own fragility pass (the paper
-    # chain would have shared the memo and shown 25 misses total).
-    assert c["pipeline.failed_cache.miss"] == 50
+    assert c["batch.fallback.reason.stage.coinflip"] == 6
+    for cell in result.cells:
+        solo = run_study(cell.config)
+        assert matrix_to_dict(solo.matrix) == matrix_to_dict(cell.matrix)
 
 
 def test_duplicate_studies_rejected():
