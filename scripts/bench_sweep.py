@@ -13,8 +13,10 @@ Both paths are bit-identical per cell (asserted), so the reported
 speedup is pure scheduling: (cells - 1) saved ensemble generations plus
 parallel analysis.  ``--assert-single-generation`` additionally fails
 the run unless the sweep's own counters show exactly one ensemble
-generation -- CI uses this as the dedup smoke check.  Run from the repo
-root::
+generation -- CI uses this as the dedup smoke check.  With ``--jobs``
+above 1 the run also fails unless pool workers attached the shared
+ensemble and no ``sweep.parallel_fallback`` event fired, so a sweep
+that quietly ran serially cannot pass.  Run from the repo root::
 
     PYTHONPATH=src python scripts/bench_sweep.py [--count 200] [--jobs 2] \\
         [--output BENCH_sweep.json]
@@ -82,15 +84,21 @@ def main() -> int:
     generated = int(counters.get("sweep.ensemble.generated", 0))
     reused = int(counters.get("sweep.ensemble.reused", 0))
     shared_publish = int(counters.get("sweep.ensemble.shared_publish", 0))
-    shared_mmap = int(counters.get("sweep.ensemble.shared_mmap", 0))
     shared_attach = int(counters.get("sweep.ensemble.shared_attach", 0))
+    fallbacks = result.observability.events.of_kind("sweep.parallel_fallback")
     print(
         f"sweep:      {sweep_s:8.2f}s  (generated {generated}, reused {reused}, "
-        f"shm published {shared_publish}, mmapped {shared_mmap}, "
-        f"worker attaches {shared_attach})"
+        f"shm published {shared_publish}, worker attaches {shared_attach})"
     )
     if args.assert_single_generation and generated != 1:
         print(f"FAIL: expected exactly 1 ensemble generation, saw {generated}")
+        return 1
+    if args.jobs > 1 and (shared_attach == 0 or fallbacks):
+        reasons = [event.get("reason") for event in fallbacks]
+        print(
+            f"FAIL: --jobs {args.jobs} did not run the pool (worker attaches "
+            f"{shared_attach}, parallel fallbacks {reasons})"
+        )
         return 1
 
     sequential_s, matrices = time_sequential(grid)
@@ -118,7 +126,6 @@ def main() -> int:
         "ensemble_generated": generated,
         "ensemble_reused": reused,
         "ensemble_shared_publish": shared_publish,
-        "ensemble_shared_mmap": shared_mmap,
         "ensemble_shared_attach": shared_attach,
         "python": platform.python_version(),
         "machine": platform.machine(),

@@ -52,7 +52,6 @@ from repro.hazards.hurricane.standard import (
     DEFAULT_REALIZATIONS,
     DEFAULT_SEED,
     shared_standard_generator,
-    standard_oahu_generator,
 )
 from repro.obs.manifest import (
     build_run_manifest,
@@ -354,16 +353,21 @@ class StudyConfig:
         """
         if self.ensemble is not None:
             return _prebuilt_ensemble_key(self.ensemble)
-        generator = self.resolve_generator() or shared_standard_generator()
-        plan = self.resolve_sampling()
-        if plan is not None and plan.name != "plain":
-            # A plan-sampled ensemble has different bits than the plain
-            # one; fold the plan into the key so sweep groups and disk
-            # caches never mix them.  Plain/None keep the legacy key.
-            from repro.sampling.generation import PlanSampledGenerator
+        return self._hazard_generator().cache_key(self.n_realizations, self.seed)
 
-            generator = PlanSampledGenerator(generator, plan)  # type: ignore[arg-type]
-        return generator.cache_key(self.n_realizations, self.seed)
+    def _hazard_generator(self):
+        """The generator this study's hazard data comes from.
+
+        The configured generator (or the process-wide standard one),
+        wrapped in the sampling plan: a plan-sampled ensemble has
+        different bits than the plain one, so the plan also enters the
+        cache key and sweep groups and disk caches never mix them.
+        Plain/None keep the legacy generator and key.
+        """
+        from repro.sampling.generation import maybe_plan_sampled
+
+        generator = self.resolve_generator() or shared_standard_generator()
+        return maybe_plan_sampled(generator, self.resolve_sampling())  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -515,26 +519,28 @@ def study_config_hash(
 
 
 def _acquire_ensemble(config: StudyConfig) -> tuple[HazardEnsemble, str | None]:
-    """The study's hazard data plus its content key (for the manifest)."""
+    """The study's hazard data plus its content key (for the manifest).
+
+    The one acquisition path: :func:`run_study` calls it directly, the
+    sweep engine once per ensemble group and, after a stale shared
+    descriptor, from a pool worker.  A prebuilt ensemble is used as is;
+    otherwise the study's generator generates (or loads from
+    ``cache_dir``) with the config's ``jobs``, ``resume`` and retry
+    options.
+    """
     if config.ensemble is not None:
         key = getattr(config.ensemble, "seed", None)
         return config.ensemble, None if key is None else f"prebuilt-seed-{key}"
     from repro.runtime.controller import RetryPolicy
 
-    generator = config.resolve_generator() or standard_oahu_generator()
-    plan = config.resolve_sampling()
-    if plan is not None and plan.name != "plain":
-        from repro.sampling.generation import PlanSampledGenerator
-
-        generator = PlanSampledGenerator(generator, plan)  # type: ignore[arg-type]
-    retry = RetryPolicy.from_options(config.max_retries, config.task_timeout)
+    generator = config._hazard_generator()
     ensemble = generator.generate(
         count=config.n_realizations,
         seed=config.seed,
         n_jobs=config.jobs,
         cache_dir=config.cache_dir,
         resume=config.resume,
-        retry=retry,
+        retry=RetryPolicy.from_options(config.max_retries, config.task_timeout),
     )
     return ensemble, generator.cache_key(config.n_realizations, config.seed)
 

@@ -515,17 +515,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.runtime.controller import RetryPolicy
     from repro.service import ServiceConfig, run_forever
 
-    retry = None
-    if args.max_retries is not None or args.task_timeout is not None:
-        retry = RetryPolicy.from_options(args.max_retries, args.task_timeout)
     config = ServiceConfig(
         service_dir=args.dir,
         host=args.host,
         port=args.port,
         queue_capacity=args.queue_capacity,
         retry_after_s=args.retry_after,
-        retry=retry,
-        study_deadline_s=args.study_deadline,
+        retry=RetryPolicy.from_options(args.max_retries),
     )
     print(
         f"study service listening on http://{config.host}:{config.port} "
@@ -878,24 +874,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="Retry-After seconds sent with 429 responses (default: 5)",
     )
     p.add_argument(
-        "--study-deadline",
-        type=float,
-        default=None,
-        help="per-study wall-clock deadline in seconds (default: none)",
-    )
-    p.add_argument(
         "--max-retries",
         type=int,
         default=None,
         help="retries per failed study before it is recorded failed "
         "(default: 3)",
-    )
-    p.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help="seconds before a generation worker is declared hung "
-        "(default: no timeout)",
     )
     p.set_defaults(func=_cmd_serve)
 

@@ -12,6 +12,10 @@ scenario spec, the surge/extension physics, the mesh spacing, and the
 - ``<key>.json`` -- a human-readable sidecar with the key inputs, asset
   names, scenario name, and seed.
 
+Entries written by earlier releases may also carry an uncompressed
+``.npy`` copy of the depths (once memory-mapped by sweep workers); the
+loader ignores it, so those entries still load as hits.
+
 The key is a sha256 over the canonical JSON of everything the ensemble
 depends on, so editing any physics parameter, the scenario, the mesh
 spacing, the seed, or the count changes the key and the stale entry is
@@ -88,11 +92,6 @@ def _cache_paths(cache_dir: str | Path, key: str) -> tuple[Path, Path]:
     return base / f"ensemble-{key}.npz", base / f"ensemble-{key}.json"
 
 
-def shared_depths_path(cache_dir: str | Path, key: str) -> Path:
-    """The uncompressed depth sidecar (mmap-able by sweep workers)."""
-    return Path(cache_dir) / f"ensemble-{key}-depths.npy"
-
-
 def save_ensemble_cache(
     ensemble: HurricaneEnsemble, cache_dir: str | Path, key: str
 ) -> Path:
@@ -110,13 +109,6 @@ def save_ensemble_cache(
     with atomic_path(npz_path) as tmp:
         with tmp.open("wb") as handle:
             np.savez_compressed(handle, depths=depths, params=params)
-    # Uncompressed depth sidecar: sweep workers memory-map this instead
-    # of receiving a pickled/shared-memory copy (npz entries are zip
-    # members and cannot be mmapped).  Written atomically like the rest;
-    # a missing sidecar (older cache entries) just means no mmap path.
-    with atomic_path(shared_depths_path(cache_dir, key)) as tmp:
-        with tmp.open("wb") as handle:
-            np.save(handle, np.ascontiguousarray(depths))
     meta = {
         "format": CACHE_FORMAT_VERSION,
         "key": key,
@@ -170,41 +162,6 @@ def load_ensemble_cache(cache_dir: str | Path, key: str) -> HurricaneEnsemble | 
         )
     except (KeyError, ValueError, OSError, zipfile.BadZipFile, json.JSONDecodeError) as exc:
         return _quarantine_entry(npz_path, meta_path, f"unreadable entry: {exc}")
-
-
-def shared_depth_descriptor(cache_dir: str | Path, key: str) -> dict | None:
-    """An mmap descriptor for a cached ensemble's depth sidecar.
-
-    Returns the payload :func:`repro.io.shared_ensemble.attach_shared_ensemble`
-    accepts (``kind == "mmap"``), or ``None`` when the entry lacks a
-    verifiable sidecar -- missing files, stale format, or a sidecar
-    whose shape disagrees with the meta (the caller then publishes a
-    shared-memory segment instead).  Never raises on a damaged entry.
-    """
-    npy_path = shared_depths_path(cache_dir, key)
-    _, meta_path = _cache_paths(cache_dir, key)
-    if not npy_path.exists() or not meta_path.exists():
-        return None
-    try:
-        meta = json.loads(meta_path.read_text())
-        if meta["format"] != CACHE_FORMAT_VERSION or meta["key"] != key:
-            return None
-        names = list(meta["asset_names"])
-        count = int(meta["count"])
-        depths = np.load(npy_path, mmap_mode="r")
-        if depths.shape != (count, len(names)):
-            return None
-        return {
-            "kind": "mmap",
-            "path": str(npy_path),
-            "shape": [count, len(names)],
-            "dtype": str(depths.dtype),
-            "scenario_name": meta["scenario_name"],
-            "seed": meta["seed"],
-            "asset_names": names,
-        }
-    except (KeyError, ValueError, OSError, json.JSONDecodeError):
-        return None
 
 
 def _quarantine_entry(npz_path: Path, meta_path: Path, reason: str) -> None:

@@ -11,11 +11,7 @@ reference:
   :mod:`multiprocessing.shared_memory` segment once and returns a
   handle whose small JSON-able *descriptor* is all that crosses the
   process boundary.
-- When the ensemble came from the on-disk cache,
-  :func:`repro.io.ensemble_cache.shared_depth_descriptor` yields an
-  mmap descriptor for the uncompressed depth sidecar -- no segment to
-  manage at all; the OS page cache shares the bytes.
-- :func:`attach_shared_ensemble` turns either descriptor back into a
+- :func:`attach_shared_ensemble` turns the descriptor back into a
   :class:`~repro.hazards.base.MatrixEnsemble` whose depth matrix *is*
   the shared buffer (the batched executor reads it in place) and whose
   row views are built only if a scalar fallback ever iterates them.
@@ -175,35 +171,21 @@ def _attach_untracked(name: str):
 def attach_shared_ensemble(descriptor: Mapping) -> MatrixEnsemble:
     """Rebuild an ensemble from a descriptor, without copying the data.
 
-    ``kind == "shm"`` maps the published segment; ``kind == "mmap"``
-    memory-maps the on-disk depth sidecar.  Both verify the array shape
-    against the descriptor before use.
+    The descriptor's ``kind`` must be ``"shm"``: the depth matrix maps
+    the published segment in place.
     """
     kind = descriptor.get("kind")
-    shape = tuple(int(n) for n in descriptor["shape"])
-    names = list(descriptor["asset_names"])
-    if kind == "mmap":
-        depths = np.load(descriptor["path"], mmap_mode="r")
-        owner: object | None = None
-    elif kind == "shm":
-        shm = _attach_untracked(str(descriptor["name"]))
-        depths = np.ndarray(
-            shape, dtype=np.dtype(descriptor["dtype"]), buffer=shm.buf
-        )
-        owner = shm
-    else:
+    if kind != "shm":
         raise SerializationError(
             f"unknown shared-ensemble descriptor kind {kind!r}"
         )
-    if tuple(depths.shape) != shape:
-        raise SerializationError(
-            f"shared ensemble shape {tuple(depths.shape)} does not match "
-            f"its descriptor {shape}"
-        )
+    shape = tuple(int(n) for n in descriptor["shape"])
+    shm = _attach_untracked(str(descriptor["name"]))
+    depths = np.ndarray(shape, dtype=np.dtype(descriptor["dtype"]), buffer=shm.buf)
     return MatrixEnsemble(
         str(descriptor.get("scenario_name", "shared")),
         depths,
-        names,
+        list(descriptor["asset_names"]),
         descriptor.get("seed"),
-        owner=owner,
+        owner=shm,
     )

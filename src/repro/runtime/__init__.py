@@ -10,14 +10,18 @@ interrupted runs resume bit-identically), and
 per-*study* batch execution (fault isolation into
 :class:`~repro.runtime.supervisor.StudyFailure` records, retry with
 backoff, per-study deadlines, a whole-batch time budget, and pool
-rebuild after collapse).  :class:`~repro.runtime.faults.FaultPlan`
+rebuild after collapse).  Both run their pooled passes on one
+:class:`~repro.runtime.pool.WorkerPool` and classify failures with one
+:func:`~repro.runtime.pool.classify_failure`.
+:class:`~repro.runtime.faults.FaultPlan`
 scripts deterministic chaos (crashes, kills, hangs, corrupt payloads,
 torn files) that the test suite uses to prove those guarantees.
 """
 
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.controller import RetryPolicy, RunController, terminate_pool
+from repro.runtime.controller import RetryPolicy, RunController
 from repro.runtime.faults import FaultKind, FaultPlan, FaultSpec
+from repro.runtime.pool import terminate_pool
 from repro.runtime.supervisor import StudyFailure, StudySupervisor, SupervisedTask
 
 __all__ = [

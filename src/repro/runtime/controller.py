@@ -5,14 +5,14 @@
 :data:`BLOCK_ROWS` realizations that one call to the generator's
 ``realize_block`` surges, smooths and maps together (:func:`run_block`).
 Inline runs (``n_jobs=1``) execute the blocks in process; pooled runs
-submit one task per block.  Either way the controller retries retryable
-failures with capped exponential backoff, enforces a per-task timeout on
-hung workers, survives a collapsed pool (``BrokenProcessPool`` after a
-worker is killed), validates every returned row, and streams completed
+submit one task per block to a :class:`~repro.runtime.pool.WorkerPool`,
+which times out hung workers and survives a collapsed pool.  Either way
+the controller retries retryable failures with capped exponential
+backoff, validates every returned row, and streams completed
 rows into a :class:`~repro.runtime.checkpoint.CheckpointStore` so an
 interrupted run resumes from its shards to a bit-identical ensemble.
 
-Failure taxonomy (see :mod:`repro.errors`):
+Failure taxonomy (:func:`~repro.runtime.pool.classify_failure`):
 
 * **retryable** -- :class:`WorkerCrashError` (worker died or its task
   raised an unexpected exception), :class:`WorkerTimeoutError` (task
@@ -30,8 +30,9 @@ charges only that index and resubmits only it.  A failure of the whole
 task charges every index in its block: an exception out of
 ``realize_block`` itself, a block running past the timeout, and a pool
 collapse, which charges every index of every in-flight block because the
-collapse destroys the evidence of which task killed the worker.  The
-pool is then rebuilt and the unfinished indices are cut into new blocks.
+collapse destroys the evidence of which task killed the worker.  Charged
+indices are cut into new blocks; blocks that were only caught in a
+timed-out pool's teardown rerun as they were, uncharged.
 
 Determinism: realization ``i`` consumes only the serial parameter pass's
 ``params[i]`` and a generator freshly derived from
@@ -50,8 +51,6 @@ the ensemble.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,11 +58,8 @@ import numpy as np
 
 from repro.errors import (
     CorruptResultError,
-    ReproError,
     RetryExhaustedError,
     RuntimeControlError,
-    WorkerCrashError,
-    WorkerTimeoutError,
 )
 from repro.hazards.hurricane.ensemble import (
     EnsembleGenerator,
@@ -74,6 +70,7 @@ from repro.hazards.hurricane.ensemble import (
 from repro.obs.observer import current as current_observer
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.faults import FaultPlan, InjectedCrash
+from repro.runtime.pool import WorkerPool, classify_failure
 
 #: Realizations per unit of work.  The smoothing pass and, when pooled,
 #: the task submit and result transfer are paid once per block; 64 rows
@@ -347,23 +344,13 @@ class RunController:
     # ------------------------------------------------------------------
     # Failure handling
     # ------------------------------------------------------------------
-    def _classify(self, exc: BaseException) -> RuntimeControlError | None:
-        """Map a task failure to the taxonomy; ``None`` means fatal."""
-        if isinstance(exc, RuntimeControlError):
-            return exc if exc.retryable else None
-        if isinstance(exc, ReproError):
-            return None  # deterministic modeling error: retries cannot help
-        if isinstance(exc, BrokenProcessPool):
-            return WorkerCrashError(f"worker pool collapsed: {exc}")
-        return WorkerCrashError(f"task raised {type(exc).__name__}: {exc}")
-
     def _fail(self, indices, exc: BaseException) -> list[int]:
         """Charge ``exc`` to each index and return them for resubmission.
 
         A fatal ``exc`` is re-raised at once, after flushing the
         checkpoint.
         """
-        error = self._classify(exc)
+        error = classify_failure(exc)
         if error is None:
             self._flush()
             raise exc
@@ -432,130 +419,48 @@ class RunController:
     # Pooled execution
     # ------------------------------------------------------------------
     def _run_pool(self, pending, params, seqs) -> None:
-        remaining = set(pending)
-        while remaining:
-            executor = ProcessPoolExecutor(
-                max_workers=self.n_jobs,
-                initializer=_init_worker,
-                initargs=(self.generator, self.faults),
-            )
-            try:
-                rebuild = self._drive_pool(executor, remaining, params, seqs)
-            finally:
-                self._terminate_pool(executor)
-            if rebuild:
-                self.pool_rebuilds += 1
-                self._obs.inc("runtime.pool_rebuilds")
-                self._obs.event("pool_rebuild", remaining=len(remaining))
+        """Run blocks on a :class:`~repro.runtime.pool.WorkerPool`.
 
-    def _drive_pool(self, executor, remaining, params, seqs) -> bool:
-        """Run blocks on one pool; ``True`` means the pool must be rebuilt."""
-        futures: dict[Future, tuple[int, ...]] = {}
-        # Submit-to-completion latency per future (includes queueing).
-        submitted_at: dict[Future, float] = {}
+        Keys are the blocks themselves (disjoint while in flight).  A
+        failed block charges each of its indices; retried indices are
+        cut into new blocks.
+        """
+        pool: WorkerPool[tuple[int, ...]] = WorkerPool(
+            "runtime",
+            _run_block_task,
+            self.n_jobs,
+            initializer=_init_worker,
+            initargs=(self.generator, self.faults),
+            timeout_s=self.policy.task_timeout_s,
+            poll_interval_s=self.policy.poll_interval_s,
+        )
+        # Submit-to-completion latency per block (includes queueing).
+        submitted_at: dict[tuple[int, ...], float] = {}
 
         def submit(indices) -> None:
             for block in row_blocks(sorted(indices), self.n_jobs):
-                future = executor.submit(
-                    _run_block_task, *self._task_args(block, params, seqs)
-                )
-                futures[future] = block
-                submitted_at[future] = time.perf_counter()
+                pool.submit(block, *self._task_args(block, params, seqs))
+                submitted_at[block] = time.perf_counter()
 
-        submit(remaining)
-        running_since: dict[Future, float] = {}
-        while futures:
-            done, _ = wait(
-                futures, timeout=self.policy.poll_interval_s,
-                return_when=FIRST_COMPLETED,
-            )
-            broken = False
-            retry_now: list[int] = []
-            for future in done:
-                block = futures.pop(future)
-                started = submitted_at.pop(future)
-                try:
-                    outcome = future.result()
-                except Exception as exc:
-                    broken = broken or isinstance(exc, BrokenProcessPool)
-                    retry_now += self._fail(block, exc)
-                    continue
-                seconds = time.perf_counter() - started
-                retry = self._settle(block, outcome)
-                self._observe_block(outcome, seconds, len(block) - len(retry))
-                remaining.difference_update(block)
-                remaining.update(retry)
-                retry_now += retry
-            if broken:
-                # The collapse destroyed any evidence of which in-flight
-                # block killed the worker: charge every index in them all.
-                # (retry_now indices were already charged above; all stay
-                # in ``remaining`` and rerun on the rebuilt pool.)
-                collapse = WorkerCrashError("worker pool collapsed mid-task")
-                for block in futures.values():
-                    self._fail(block, collapse)
-                return True
-            if retry_now:
-                self._backoff(retry_now)
-                try:
-                    submit(retry_now)
-                except BrokenProcessPool:
-                    return True  # already charged; rerun on the rebuilt pool
-            if self._hung_task(futures, running_since):
-                return True
-        return False
-
-    def _hung_task(self, futures, running_since) -> bool:
-        """Charge a block running past the timeout; ``True`` if one hung."""
-        timeout = self.policy.task_timeout_s
-        if timeout is None:
-            return False
-        now = time.monotonic()
-        for future in futures:
-            if future.running() and future not in running_since:
-                running_since[future] = now
-        for future, started in running_since.items():
-            if future in futures and now - started > timeout:
-                block = futures[future]
-                self._fail(
-                    block,
-                    WorkerTimeoutError(
-                        f"block at realization {block[0]} ({len(block)} rows) "
-                        f"still running after {timeout:.3g}s"
-                    ),
-                )
-                return True
-        return False
-
-    @staticmethod
-    def _terminate_pool(executor: ProcessPoolExecutor) -> None:
-        terminate_pool(executor)
-
-
-def terminate_pool(executor: ProcessPoolExecutor) -> None:
-    """Stop a pool hard: cancel queued work and kill live workers.
-
-    ``shutdown`` alone would wait on a hung worker forever, so any
-    still-live worker processes are terminated outright (private
-    attribute, guarded -- a missing attribute degrades to a plain
-    shutdown).  Shared by :class:`RunController` (realization pass) and
-    :class:`~repro.runtime.supervisor.StudySupervisor` (study pass).
-    """
-    # Snapshot the workers first: shutdown() drops the executor's
-    # reference to them, and a hung worker left running keeps the
-    # executor's manager thread -- and interpreter exit -- waiting on it.
-    processes = list((getattr(executor, "_processes", None) or {}).values())
-    executor.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
         try:
-            process.terminate()
-        except (OSError, ValueError):  # already gone
-            pass
-    for process in processes:
-        try:
-            process.join(timeout=5.0)
-        except (OSError, ValueError, AssertionError):
-            pass
+            with pool:
+                submit(pending)
+                while pool:
+                    retry: list[int] = []
+                    for block, outcome in pool.poll():
+                        started = submitted_at.pop(block)
+                        if isinstance(outcome, BaseException):
+                            retry += self._fail(block, outcome)
+                            continue
+                        seconds = time.perf_counter() - started
+                        settled = self._settle(block, outcome)
+                        self._observe_block(outcome, seconds, len(block) - len(settled))
+                        retry += settled
+                    if retry:
+                        self._backoff(retry)
+                        submit(retry)
+        finally:
+            self.pool_rebuilds += pool.rebuilds
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ one poisoned study aborted the whole sweep and discarded every
 in-flight result, and a silently-hung worker could stall the sweep
 forever.  :class:`StudySupervisor` wraps per-study execution the way
 :class:`~repro.runtime.controller.RunController` wraps per-realization
-execution:
+execution, on the same :class:`~repro.runtime.pool.WorkerPool` and the
+same failure taxonomy (:func:`~repro.runtime.pool.classify_failure`):
 
 * a failing study becomes a recorded :class:`StudyFailure` -- exception
   type, message, attempt count -- instead of a sweep abort;
@@ -13,14 +14,14 @@ execution:
   are retried with the :class:`~repro.runtime.controller.RetryPolicy`
   backoff, while deterministic :class:`~repro.errors.ReproError`\\ s
   fail immediately (no retry can fix a modeling error);
-* a collapsed pool (``BrokenProcessPool``) is rebuilt and the surviving
-  studies resubmitted, mirroring what the run controller already did
-  for ensemble generation but the sweep analysis pass never had;
+* a collapsed pool (``BrokenProcessPool``) charges every study in
+  flight and is rebuilt for the retries;
 * a per-study ``deadline_s`` bounds any one study on the pooled path
   (the pool is torn down and rebuilt around the hung worker), and a
-  whole-run ``budget_s`` bounds the batch: studies that would start
-  past the budget fail fast with :class:`~repro.errors.SweepBudgetError`
-  instead of running half a grid past its deadline;
+  whole-run ``budget_s`` bounds the batch: once it expires, studies
+  still running or not yet started fail fast with
+  :class:`~repro.errors.SweepBudgetError` instead of running half a
+  grid past its deadline;
 * ``strict=True`` preserves raise-on-failure semantics -- the first
   terminal failure raises :class:`~repro.errors.StudyFailureError`
   naming the study that died -- while ``strict=False`` degrades
@@ -36,21 +37,17 @@ study service can share one failure taxonomy.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import (
-    ReproError,
     RuntimeControlError,
     StudyFailureError,
     SweepBudgetError,
-    WorkerCrashError,
-    WorkerTimeoutError,
 )
 from repro.obs.observer import current as current_observer
-from repro.runtime.controller import RetryPolicy, terminate_pool
+from repro.runtime.controller import RetryPolicy
+from repro.runtime.pool import WorkerPool, classify_failure
 
 
 @dataclass(frozen=True)
@@ -144,28 +141,13 @@ class StudySupervisor:
     # ------------------------------------------------------------------
     # Failure accounting
     # ------------------------------------------------------------------
-    def _retryable(self, exc: BaseException) -> bool:
-        """Whether retrying could possibly change the outcome.
-
-        The taxonomy mirrors :class:`RunController`: deterministic
-        :class:`ReproError`\\ s are fatal (a modeling error re-raises
-        identically on every retry); everything else -- a crashed
-        worker, a collapsed pool, an unexpected exception -- might be
-        environmental, so it gets the retry budget.
-        """
-        if isinstance(exc, RuntimeControlError):
-            return exc.retryable
-        if isinstance(exc, ReproError):
-            return False
-        return True
-
     def _charge(self, task: SupervisedTask, exc: BaseException) -> bool:
         """Charge one attempt; ``True`` if the study may retry."""
         attempts = self.attempts.get(task.position, 0) + 1
         self.attempts[task.position] = attempts
         obs = current_observer()
         obs.inc("supervisor.study_attempts")
-        if not self._retryable(exc):
+        if classify_failure(exc) is None:
             return False
         if attempts > self.policy.max_retries:
             return False
@@ -257,144 +239,51 @@ class StudySupervisor:
         initializer: Callable | None = None,
         initargs: tuple = (),
     ) -> Iterator[tuple[SupervisedTask, object]]:
-        """Run tasks on a supervised process pool.
+        """Run tasks on a :class:`~repro.runtime.pool.WorkerPool`.
 
         Yields ``(task, result-or-StudyFailure)`` as each study settles.
-        The pool is rebuilt (with the same initializer) after a
-        collapse or a hung study; surviving studies are resubmitted and
-        keep their attempt counters.
+        ``deadline_s`` is the pool's task timeout; attempt counts are
+        kept per study across pool rebuilds.  The budget is checked at
+        every poll, so it also fires while a study runs: the pool is
+        torn down and every unsettled study fails with
+        :class:`~repro.errors.SweepBudgetError`.
         """
-        remaining: dict[int, SupervisedTask] = {
-            task.position: task for task in tasks
-        }
-        obs = current_observer()
-        while remaining:
-            if self.budget_exhausted():
-                for position in sorted(remaining):
-                    task = remaining.pop(position)
-                    yield task, self.budget_failure(task)
-                return
-            executor = ProcessPoolExecutor(
-                max_workers=min(jobs, len(remaining)),
-                initializer=initializer,
-                initargs=initargs,
-            )
-            rebuilding = False
-            try:
-                for task, outcome, rebuild in self._drive(
-                    executor, remaining, task_fn
-                ):
-                    if task is not None:
-                        yield task, outcome
-                    if rebuild:
-                        rebuilding = True
-            finally:
-                terminate_pool(executor)
-            if rebuilding and remaining:
-                self.pool_rebuilds += 1
-                obs.inc("supervisor.pool_rebuilds")
-                obs.event("supervisor_pool_rebuild", remaining=len(remaining))
-
-    def _drive(
-        self,
-        executor: ProcessPoolExecutor,
-        remaining: dict[int, SupervisedTask],
-        task_fn: Callable,
-    ) -> Iterator[tuple[SupervisedTask | None, object, bool]]:
-        """Drive one pool; the final event may carry ``rebuild=True``.
-
-        Events are ``(task, outcome, rebuild)``; ``task`` is ``None``
-        for a bare rebuild signal.  Settled tasks are removed from
-        ``remaining``; anything left when a rebuild fires reruns on the
-        next pool with its attempt counters intact.
-        """
-        futures: dict[Future, SupervisedTask] = {}
-        for position in sorted(remaining):
-            task = remaining[position]
-            futures[executor.submit(task_fn, task.payload)] = task
-        running_since: dict[Future, float] = {}
-        while futures:
-            if self.budget_exhausted():
-                # The outer loop converts what's left into budget
-                # failures; tearing the pool down cancels in-flight work.
-                yield None, None, True
-                return
-            done, _ = wait(
-                futures,
-                timeout=self.policy.poll_interval_s,
-                return_when=FIRST_COMPLETED,
-            )
-            broken = False
-            retry_now: list[SupervisedTask] = []
-            for future in done:
-                task = futures.pop(future)
-                running_since.pop(future, None)
-                try:
-                    result = future.result()
-                except Exception as exc:
-                    if isinstance(exc, BrokenProcessPool):
-                        broken = True
-                        exc = WorkerCrashError(
-                            f"worker pool collapsed while running study "
-                            f"{task.label!r}: {exc}"
+        remaining = {task.position: task for task in tasks}
+        pool: WorkerPool[int] = WorkerPool(
+            "supervisor",
+            task_fn,
+            min(jobs, len(remaining)),
+            initializer=initializer,
+            initargs=initargs,
+            timeout_s=self.deadline_s,
+            poll_interval_s=self.policy.poll_interval_s,
+        )
+        try:
+            with pool:
+                if not self.budget_exhausted():
+                    for task in remaining.values():
+                        pool.submit(task.position, task.payload)
+                while pool and not self.budget_exhausted():
+                    retry: list[SupervisedTask] = []
+                    for position, outcome in pool.poll():
+                        task = remaining[position]
+                        if not isinstance(outcome, BaseException):
+                            del remaining[position]
+                            yield task, outcome
+                        elif self._charge(task, outcome):
+                            retry.append(task)
+                        else:
+                            del remaining[position]
+                            yield task, self._terminal(task, outcome)
+                    if retry:
+                        time.sleep(
+                            self.policy.backoff_s(
+                                max(self.attempts[t.position] for t in retry)
+                            )
                         )
-                    if self._charge(task, exc):
-                        retry_now.append(task)
-                    else:
-                        del remaining[task.position]
-                        yield task, self._terminal(task, exc), False
-                else:
-                    del remaining[task.position]
-                    yield task, result, False
-            if broken:
-                # The collapse destroyed the evidence of which in-flight
-                # study killed the worker: charge them all one attempt
-                # (mirroring RunController) and rebuild.
-                for future, task in list(futures.items()):
-                    crash = WorkerCrashError(
-                        f"worker pool collapsed while study {task.label!r} "
-                        f"was in flight"
-                    )
-                    if not self._charge(task, crash):
-                        del remaining[task.position]
-                        yield task, self._terminal(task, crash), False
-                yield None, None, True
-                return
-            for task in retry_now:
-                time.sleep(self.policy.backoff_s(self.attempts[task.position]))
-                try:
-                    futures[executor.submit(task_fn, task.payload)] = task
-                except BrokenProcessPool:
-                    yield None, None, True
-                    return
-            hung = self._hung_study(futures, running_since)
-            if hung is not None:
-                task = hung
-                timeout = WorkerTimeoutError(
-                    f"study {task.label!r} still running after its "
-                    f"{self.deadline_s:.3g}s deadline"
-                )
-                if not self._charge(task, timeout):
-                    del remaining[task.position]
-                    yield task, self._terminal(task, timeout), False
-                # A hung worker cannot be cancelled, only abandoned:
-                # tear the pool down and rerun the survivors.
-                yield None, None, True
-                return
-
-    def _hung_study(
-        self,
-        futures: dict[Future, SupervisedTask],
-        running_since: dict[Future, float],
-    ) -> SupervisedTask | None:
-        """The first study past its deadline, if a deadline is set."""
-        if self.deadline_s is None:
-            return None
-        now = time.monotonic()
-        for future in futures:
-            if future.running() and future not in running_since:
-                running_since[future] = now
-        for future, started in running_since.items():
-            if future in futures and now - started > self.deadline_s:
-                return futures[future]
-        return None
+                        for task in retry:
+                            pool.submit(task.position, task.payload)
+        finally:
+            self.pool_rebuilds += pool.rebuilds
+        for position in sorted(remaining):
+            yield remaining[position], self.budget_failure(remaining[position])

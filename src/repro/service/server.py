@@ -160,10 +160,9 @@ class ServiceConfig:
     queue_capacity: int = 8
     #: Seconds clients are told to wait after a 429.
     retry_after_s: int = 5
-    #: Retry policy for supervised study execution.
+    #: Retry policy for supervised study execution (its ``max_retries``
+    #: bounds each job's retries).
     retry: RetryPolicy | None = None
-    #: Per-study wall-clock deadline (pooled paths only); None = none.
-    study_deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -325,11 +324,7 @@ class StudyService:
                 job.cancel = CancelToken()
             token = job.cancel
         self.journal.append("started", job)
-        supervisor = StudySupervisor(
-            policy=self.config.retry,
-            strict=False,
-            deadline_s=self.config.study_deadline_s,
-        )
+        supervisor = StudySupervisor(policy=self.config.retry, strict=False)
         config = study_config_from_spec(job.spec)
         task = SupervisedTask(
             position=0,

@@ -35,12 +35,16 @@ import time
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.api import StudyConfig, _study_weights, study_config_hash
+from repro.api import (
+    StudyConfig,
+    _acquire_ensemble,
+    _study_weights,
+    study_config_hash,
+)
 from repro.core.outcomes import ScenarioMatrix
 from repro.core.pipeline import CompoundThreatAnalysis
 from repro.errors import ConfigurationError, SerializationError
 from repro.hazards.base import HazardEnsemble
-from repro.hazards.hurricane.standard import shared_standard_generator
 from repro.io.atomic import atomic_write_text, quarantine_file
 from repro.io.results_io import matrix_from_dict, matrix_to_dict
 from repro.io.shared_ensemble import (
@@ -250,30 +254,6 @@ def _pool_init_shared(descriptor: dict, fallback_ok: bool = False) -> None:
     _worker_matrix_cache.clear()
 
 
-def _fallback_ensemble(config: StudyConfig) -> HazardEnsemble:
-    """Regenerate a worker's hazard data after a stale shared descriptor.
-
-    Only reachable for groups whose hazard data is rebuildable from the
-    config alone (``fallback_ok``): the standard Oahu generator or a
-    region/hazard catalog selection -- count, seed, cache_dir -- so
-    the worker rebuilds through the normal cache-or-generate path
-    (``n_jobs=1``; a worker never nests pools).  Bit-identical to the
-    shared grid it replaces, by the generation determinism guarantee.
-    """
-    from repro.sampling.generation import maybe_plan_sampled
-
-    generator = maybe_plan_sampled(
-        config.resolve_generator() or shared_standard_generator(),
-        config.resolve_sampling(),
-    )
-    return generator.generate(
-        count=config.n_realizations,
-        seed=config.seed,
-        n_jobs=1,
-        cache_dir=config.cache_dir,
-    )
-
-
 def _worker_get_ensemble(config: StudyConfig) -> HazardEnsemble:
     global _worker_ensemble
     if _worker_ensemble is None:
@@ -283,19 +263,24 @@ def _worker_get_ensemble(config: StudyConfig) -> HazardEnsemble:
         try:
             _worker_ensemble = attach_shared_ensemble(_worker_descriptor)
         except (OSError, SerializationError) as exc:
-            # A crashed producer may have unlinked the shm segment (or
-            # the mmap sidecar vanished) under us.  Degrade to
-            # cache/regeneration instead of killing the worker -- but
-            # only when the group's hazard data is rebuildable from the
-            # config; custom generators and prebuilt ensembles were
-            # stripped before the process boundary and cannot be.
+            # A crashed producer may have unlinked the shm segment under
+            # us.  Degrade to cache/regeneration instead of killing the
+            # worker -- but only when the group's hazard data is
+            # rebuildable from the config (the standard generator or a
+            # region/hazard catalog selection); custom generators and
+            # prebuilt ensembles were stripped before the process
+            # boundary and cannot be.  The rebuild runs inline (a worker
+            # never nests a pool) and is bit-identical to the shared
+            # grid it replaces, by the generation determinism guarantee.
             if not _worker_fallback_ok:
                 raise SerializationError(
                     f"stale shared-ensemble descriptor and no regeneration "
                     f"path for this group's custom hazard data: {exc}"
                 ) from exc
             obs.inc("sweep.ensemble.attach_fallback")
-            _worker_ensemble = _fallback_ensemble(config)
+            _worker_ensemble, _ = _acquire_ensemble(
+                config.replace(jobs=1, resume=False)
+            )
         else:
             obs.inc("sweep.ensemble.shared_attach")
     return _worker_ensemble
@@ -355,18 +340,16 @@ def _iter_group_results(
     jobs: int,
     obs: Observability | NullObservability,
     supervisor: StudySupervisor,
-    share_ref: dict | None = None,
     fallback_ok: bool = False,
 ) -> Iterator[tuple[int, ScenarioMatrix | StudyFailure]]:
     """Yield ``(grid position, matrix-or-failure)`` per task as each settles.
 
     Each task's payload is its full :class:`StudyConfig` (with any data
     objects still attached); the pool path strips those before the
-    process boundary.  ``share_ref`` is an optional pre-existing mmap
-    descriptor for the group's depth grid (the cache sidecar); when
-    absent and the ensemble is shareable, a shared-memory segment is
-    published for the pool's lifetime and unlinked in the ``finally``
-    -- including on ``KeyboardInterrupt`` or a broken pool.
+    process boundary.  A shareable ensemble's depth grid is published
+    as one shared-memory segment for the pool's lifetime and unlinked
+    in the ``finally`` -- including on ``KeyboardInterrupt`` or a
+    broken pool.
     """
     if jobs > 1 and len(tasks) > 1:
         # Workers receive the config without its data objects: the
@@ -382,25 +365,17 @@ def _iter_group_results(
         ]
         if not _picklable(*(task.payload for task in stripped)):
             obs.event("sweep.parallel_fallback", reason="unpicklable study inputs")
-        elif share_ref is not None or shareable_ensemble(ensemble):
-            handle = None
-            descriptor = share_ref
-            if descriptor is None:
-                handle = publish_shared_ensemble(ensemble)
-            if handle is not None:
-                descriptor = handle.descriptor
-                obs.inc("sweep.ensemble.shared_publish")
-            else:
-                obs.inc("sweep.ensemble.shared_mmap")
+        elif shareable_ensemble(ensemble):
+            handle = publish_shared_ensemble(ensemble)
+            obs.inc("sweep.ensemble.shared_publish")
             try:
                 yield from _run_pool(
                     stripped, jobs, obs, _pool_init_shared,
-                    (descriptor, fallback_ok), supervisor,
+                    (handle.descriptor, fallback_ok), supervisor,
                 )
             finally:
-                if handle is not None:
-                    handle.close()
-                    handle.unlink()
+                handle.close()
+                handle.unlink()
             return
         elif _picklable(ensemble):
             yield from _run_pool(
@@ -420,53 +395,23 @@ def _iter_group_results(
 
 def _acquire_group_ensemble(
     config: StudyConfig, obs: Observability | NullObservability
-) -> tuple[HazardEnsemble, dict | None]:
-    """One group's hazard data, generated/loaded exactly once per sweep.
-
-    Returns ``(ensemble, share_ref)``: when the ensemble round-tripped
-    through the on-disk cache, ``share_ref`` is the mmap descriptor of
-    its depth sidecar and pool workers map the file directly instead of
-    receiving any copy at all.
-    """
+) -> HazardEnsemble:
+    """One group's hazard data, generated/loaded exactly once per sweep."""
     if config.ensemble is not None:
         obs.inc("sweep.ensemble.prebuilt")
-        return config.ensemble, None
-    from repro.sampling.generation import maybe_plan_sampled
-
-    # A sampling plan reshapes the hazard draw, so it participates in the
-    # group's identity (via StudyConfig.cache_key) and in generation here;
-    # plain/None keeps the exact legacy generator and cache keys.
-    generator = maybe_plan_sampled(
-        config.resolve_generator() or shared_standard_generator(),
-        config.resolve_sampling(),
-    )
-    retry = RetryPolicy.from_options(config.max_retries, config.task_timeout)
+        return config.ensemble
     with obs.span(
         "sweep.ensemble.acquire",
         count=config.n_realizations,
         seed=config.seed,
     ):
-        ensemble = generator.generate(
-            count=config.n_realizations,
-            seed=config.seed,
-            n_jobs=config.jobs,
-            cache_dir=config.cache_dir,
-            # Ensemble-level resume needs a cache_dir; sweep-level resume
-            # (finished-study shards) works without one.
-            resume=config.resume and config.cache_dir is not None,
-            retry=retry,
+        # Ensemble-level resume needs a cache_dir; sweep-level resume
+        # (finished-study shards) works without one.
+        ensemble, _ = _acquire_ensemble(
+            config.replace(resume=config.resume and config.cache_dir is not None)
         )
     obs.inc("sweep.ensemble.generated")
-    share_ref = None
-    if config.cache_dir is not None and hasattr(generator, "cache_key"):
-        from repro.io.ensemble_cache import shared_depth_descriptor
-
-        share_ref = shared_depth_descriptor(
-            config.cache_dir, generator.cache_key(config.n_realizations, config.seed)
-        )
-        if share_ref is not None and share_ref["shape"][0] != len(ensemble):
-            share_ref = None
-    return ensemble, share_ref
+    return ensemble
 
 
 # ----------------------------------------------------------------------
@@ -641,9 +586,7 @@ def run_sweep(
                         )
                         obs.inc("sweep.studies_failed")
                     continue
-                ensemble, share_ref = _acquire_group_ensemble(
-                    configs[pending[0]], obs
-                )
+                ensemble = _acquire_group_ensemble(configs[pending[0]], obs)
                 if len(pending) > 1:
                     obs.inc("sweep.ensemble.reused", len(pending) - 1)
                 pending_tasks = [tasks_by_index[i] for i in pending]
@@ -655,7 +598,6 @@ def run_sweep(
                     jobs,
                     obs,
                     supervisor,
-                    share_ref,
                     fallback_ok,
                 ):
                     if isinstance(outcome, StudyFailure):

@@ -106,6 +106,23 @@ class TestCacheEntries:
         assert np.array_equal(loaded.param_view(), reference.param_view())
         assert [r.params for r in loaded] == [r.params for r in reference]
 
+    def test_legacy_depth_sidecar_is_ignored(self, generator, reference, tmp_path):
+        """Releases 1.x-2.0.0 wrote a ``-depths.npy`` copy beside each
+        entry.  The loader never reads it: even a damaged one leaves the
+        entry a bit-identical hit, and nothing is quarantined."""
+        key = generator.cache_key(COUNT, SEED)
+        _write_legacy_cache(tmp_path, key, reference)
+        sidecar = tmp_path / f"ensemble-{key}-depths.npy"
+        sidecar.write_bytes(b"not an npy file")
+        obs = Observability()
+        with activate(obs):
+            loaded = generator.generate(count=COUNT, seed=SEED, cache_dir=str(tmp_path))
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["cache.ensemble.hit"] == 1
+        assert "cache.ensemble.quarantined" not in counters
+        assert np.array_equal(loaded.depth_view(), reference.depth_view())
+        assert sidecar.read_bytes() == b"not an npy file"
+
     def test_writer_keeps_the_layout(self, generator, reference, tmp_path):
         key = generator.cache_key(COUNT, SEED)
         npz_path = save_ensemble_cache(reference, tmp_path, key)
@@ -121,6 +138,7 @@ class TestCacheEntries:
             "asset_names", "param_columns",
         }
         assert load_ensemble_cache(tmp_path, key) is not None
+        assert not (tmp_path / f"ensemble-{key}-depths.npy").exists()
 
 
 class TestCheckpointShards:

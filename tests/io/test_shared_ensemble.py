@@ -1,4 +1,4 @@
-"""Shared-memory / mmap ensemble transport: fidelity and lifecycle."""
+"""Shared-memory ensemble transport: fidelity and lifecycle."""
 
 from __future__ import annotations
 
@@ -8,11 +8,6 @@ import pytest
 from repro.errors import HazardError, SerializationError
 from repro.hazards.base import MatrixEnsemble
 from repro.hazards.fragility import ThresholdFragility
-from repro.io.ensemble_cache import (
-    save_ensemble_cache,
-    shared_depth_descriptor,
-    shared_depths_path,
-)
 from repro.io.shared_ensemble import (
     attach_shared_ensemble,
     publish_shared_ensemble,
@@ -107,33 +102,3 @@ def test_attach_rejects_unknown_kind():
         attach_shared_ensemble(
             {"kind": "carrier-pigeon", "shape": [1, 1], "asset_names": ["a"]}
         )
-
-
-# ----------------------------------------------------------------------
-# The mmap (cache sidecar) path
-# ----------------------------------------------------------------------
-def test_cache_sidecar_descriptor_roundtrip(tmp_path, small_ensemble):
-    ensemble = small_ensemble
-    save_ensemble_cache(ensemble, tmp_path, "k1")
-    assert shared_depths_path(tmp_path, "k1").exists()
-    descriptor = shared_depth_descriptor(tmp_path, "k1")
-    assert descriptor is not None and descriptor["kind"] == "mmap"
-    attached = attach_shared_ensemble(descriptor)
-    assert attached.asset_names == ensemble.asset_names
-    assert np.array_equal(attached.depth_view(), ensemble.depth_matrix())
-    # Realization-level fidelity: same failed sets as the original.
-    model = ThresholdFragility()
-    for ours, theirs in zip(attached, ensemble):
-        assert ours.failed_assets(model) == theirs.failed_assets(model)
-
-
-def test_missing_sidecar_is_none(tmp_path, small_ensemble):
-    save_ensemble_cache(small_ensemble, tmp_path, "k2")
-    shared_depths_path(tmp_path, "k2").unlink()
-    assert shared_depth_descriptor(tmp_path, "k2") is None
-
-
-def test_damaged_sidecar_is_none(tmp_path, small_ensemble):
-    save_ensemble_cache(small_ensemble, tmp_path, "k3")
-    shared_depths_path(tmp_path, "k3").write_bytes(b"not an npy file")
-    assert shared_depth_descriptor(tmp_path, "k3") is None

@@ -14,7 +14,8 @@ from repro.errors import (
     RuntimeControlError,
 )
 from repro.hazards.hurricane.standard import standard_oahu_generator
-from repro.runtime.controller import RetryPolicy, RunController, terminate_pool
+from repro.runtime.controller import RetryPolicy, RunController
+from repro.runtime.pool import terminate_pool
 from repro.runtime.faults import FaultPlan
 
 COUNT = 16

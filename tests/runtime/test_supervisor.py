@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
@@ -257,6 +258,24 @@ class TestPool:
         for outcome in outcomes.values():
             assert isinstance(outcome, StudyFailure)
             assert outcome.error_type == "SweepBudgetError"
+
+    def test_pool_budget_expires_mid_study(self):
+        """The budget fires while a study runs, not only when one settles."""
+        before = set(multiprocessing.active_children())
+        supervisor = StudySupervisor(policy=FAST, strict=False, budget_s=0.3)
+        started = time.monotonic()
+        outcomes = dict(
+            (t.position, r)
+            for t, r in supervisor.run_pool(
+                make_tasks(["ok", "hang"]), 2, _hang_or_square
+            )
+        )
+        assert time.monotonic() - started < 5.0
+        assert outcomes[0] == "ok"
+        failure = outcomes[1]
+        assert isinstance(failure, StudyFailure)
+        assert failure.error_type == "SweepBudgetError"
+        assert set(multiprocessing.active_children()) <= before
 
 
 def _square_or_poison(payload):

@@ -300,3 +300,19 @@ class TestDurability:
         # The compacted journal replays to exactly the finished job.
         reborn = StudyService(ServiceConfig(service_dir=service_dir, port=0))
         assert reborn.jobs[submitted["job_id"]].state is JobState.DONE
+
+
+class TestServeOptions:
+    def test_only_max_retries_reaches_the_service_policy(self, tmp_path):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        args = parser.parse_args(["serve", "--dir", str(tmp_path), "--max-retries", "5"])
+        assert args.max_retries == 5
+        # The per-study deadline and the generation timeout never took
+        # effect on the service's inline jobs, so they are gone.
+        for dead in (["--study-deadline", "5"], ["--task-timeout", "5"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["serve", "--dir", str(tmp_path), *dead])
+        with pytest.raises(TypeError):
+            ServiceConfig(service_dir=tmp_path, study_deadline_s=5.0)

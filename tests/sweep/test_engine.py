@@ -246,22 +246,24 @@ def test_parallel_publishes_shared_memory_ensemble():
     # (lazily, so the counter rode back in a task's metric snapshot).
     assert c["sweep.ensemble.shared_publish"] == 1
     assert c["sweep.ensemble.shared_attach"] >= 1
-    assert "sweep.ensemble.shared_mmap" not in c
     serial = run_sweep(small_grid(), jobs=1)
     for a, b in zip(serial.cells, parallel.cells):
         assert matrix_to_dict(a.matrix) == matrix_to_dict(b.matrix)
 
 
-def test_cached_group_parallel_maps_the_sidecar(tmp_path):
+def test_cached_group_parallel_publishes_one_segment(tmp_path):
     grid = small_grid()
     grid = [c.replace(cache_dir=tmp_path) for c in grid]
     result = run_sweep(grid, jobs=2)
     c = counters(result)
-    # The depth grid came straight off the cache sidecar: no shm segment
-    # was published, workers memory-mapped the file.
-    assert c["sweep.ensemble.shared_mmap"] == 1
+    # A cached group ships like any other: one shared-memory segment,
+    # and the cache entry holds no uncompressed depth copy.
+    assert c["sweep.ensemble.shared_publish"] == 1
     assert c["sweep.ensemble.shared_attach"] >= 1
-    assert "sweep.ensemble.shared_publish" not in c
+    assert not list(tmp_path.glob("*.npy"))
+    serial = run_sweep(grid, jobs=1)
+    for a, b in zip(serial.cells, result.cells):
+        assert matrix_to_dict(a.matrix) == matrix_to_dict(b.matrix)
 
 
 def test_unpicklable_but_shareable_ensemble_runs_parallel(small_ensemble):
